@@ -57,7 +57,7 @@
 //!   alongside [`DescentStats`]), partial answers carry certain
 //!   `[lower, upper]` bounds that can only tighten with budget, and
 //!   insert-free workloads such as anytime **outlier scoring**
-//!   ([`TreeView::outlier_score`]) plug in with just a
+//!   ([`ShardSet::outlier_score`]) plug in with just a
 //!   `Summary` + `QueryModel`.  The whole engine runs on the [`TreeView`]
 //!   abstraction, so live trees and pinned [`TreeSnapshot`]s answer
 //!   through literally the same code,
@@ -80,9 +80,12 @@
 //!   unit, each shard's `finish_batch` its single synchronisation point,
 //!   per-shard reports merged via [`DepthHistogram::merge`] and
 //!   [`DescentStats::merge`], and runs the query engine the same way:
-//!   per-shard frontiers refined concurrently
-//!   ([`ShardedAnytimeTree::query_batch`]) and folded into one global
-//!   mixture whose bounds inherit each shard's monotonicity.  On top sits
+//!   per-shard frontiers refined concurrently and folded into one global
+//!   mixture whose bounds inherit each shard's monotonicity.  Every
+//!   multi-view read goes through [`ShardSet`], implemented once for a
+//!   slice of views, so live shards, snapshot shards and a plain tree
+//!   (the one-shard slice) share one read path and one outlier loop,
+//!   whose budget caps the total node reads.  On top sits
 //!   the **pipelined mode** ([`ShardedAnytimeTree::pipelined_batch`]):
 //!   writer threads drain a mini-batch per shard while reader threads
 //!   refine query frontiers against the pre-batch
@@ -135,8 +138,8 @@ pub use query::{
     QueryElement, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
 };
 pub use shard::{
-    CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardedAnytimeTree,
-    ShardedBatchOutcome, ShardedQueryAnswer, ShardedTreeSnapshot,
+    CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardSet,
+    ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer, ShardedTreeSnapshot,
 };
 pub use snapshot::TreeSnapshot;
 pub use split::{distribute, merge_closest_pair, polar_partition};

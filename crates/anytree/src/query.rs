@@ -43,10 +43,13 @@
 //! buffered mass, whose interval is frozen).
 //!
 //! Insert-free workloads plug in here without touching the insertion path:
-//! anytime **outlier scoring** ([`TreeView::outlier_score`]) needs only a
+//! anytime **outlier scoring** ([`ShardSet::outlier_score`], one loop for a
+//! plain tree, a snapshot and any number of shards) needs only a
 //! `Summary` + `QueryModel` — the score *is* the refinable density interval,
 //! and the verdict against a threshold becomes certain as soon as the
 //! interval clears it.
+//!
+//! [`ShardSet::outlier_score`]: crate::ShardSet::outlier_score
 
 use crate::node::{Entry, Node, NodeId, NodeKind};
 use crate::summary::Summary;
@@ -557,7 +560,8 @@ impl Accumulator {
 /// Priorities are pre-normalised at push time (min-orders negate, `-0.0`
 /// collapses onto `+0.0` by adding `0.0`) so that one max-heap comparison —
 /// `total_cmp` on `prio`, then the tie stamp — reproduces the reference
-/// scan's selection *exactly*, tie-breaks included.
+/// scan's selection *exactly*, tie-breaks included (FIFO for the minimising
+/// orders, earliest-joined-wins for the maximising ones).
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     prio: f64,
@@ -599,8 +603,8 @@ impl Ord for HeapEntry {
 /// first order a refinement asks for, updated incrementally as elements
 /// join the frontier, rebuilt only if the order changes mid-query, and
 /// cleaned lazily (refined elements are discarded when they surface at the
-/// top).  [`QueryCursor::peek_next_scan`] keeps the historical linear scan
-/// as the executable specification — the heap is property-tested to pop the
+/// top).  `tests/query_equivalence.rs` keeps the historical linear scan as
+/// the executable specification — the heap is property-tested to pop the
 /// identical element sequence for every order.
 #[derive(Debug, Clone, Default)]
 pub struct QueryCursor {
@@ -701,25 +705,10 @@ impl QueryCursor {
     }
 
     /// Index of the element `order` would refine next, if any — the
-    /// heap-backed selection the engine itself uses ([`Self::peek_next_scan`]
-    /// is the read-only reference scan).
+    /// heap-backed selection the engine itself uses.
     #[must_use]
     pub fn peek_next(&mut self, order: RefineOrder) -> Option<usize> {
         self.select(order)
-    }
-
-    /// Index of the element `order` would refine next, by the reference
-    /// linear scan over the frontier.
-    ///
-    /// This is the executable specification of the orderings (tie-breaking
-    /// included: FIFO for the minimising orders, earliest-joined-wins for
-    /// the maximising ones), deliberately matching the historical Bayes-tree
-    /// frontier step for step.  The engine's hot path is the per-order lazy
-    /// heap ([`Self::peek_next`]); `tests/query_equivalence.rs` locks the
-    /// two onto the same selection sequence for every order.
-    #[must_use]
-    pub fn peek_next_scan(&self, order: RefineOrder) -> Option<usize> {
-        self.select_scan(order)
     }
 
     fn reset(&mut self, query: &[f64]) {
@@ -819,46 +808,6 @@ impl QueryCursor {
     pub fn next_refinable_child(&mut self, order: RefineOrder) -> Option<NodeId> {
         let idx = self.select(order)?;
         self.elements[idx].child
-    }
-
-    fn select_scan(&self, order: RefineOrder) -> Option<usize> {
-        let refinable = self
-            .elements
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_refinable());
-        match order {
-            RefineOrder::BreadthFirst => refinable
-                .min_by(|(_, a), (_, b)| a.depth.cmp(&b.depth).then(a.seq.cmp(&b.seq)))
-                .map(|(i, _)| i),
-            RefineOrder::DepthFirst => refinable
-                .max_by(|(_, a), (_, b)| a.depth.cmp(&b.depth).then(a.seq.cmp(&b.seq)))
-                .map(|(i, _)| i),
-            RefineOrder::ClosestFirst => refinable
-                .min_by(|(_, a), (_, b)| {
-                    a.min_dist_sq
-                        .partial_cmp(&b.min_dist_sq)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.seq.cmp(&b.seq))
-                })
-                .map(|(i, _)| i),
-            RefineOrder::BestFirst => refinable
-                .max_by(|(_, a), (_, b)| {
-                    a.contribution
-                        .partial_cmp(&b.contribution)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.seq.cmp(&a.seq))
-                })
-                .map(|(i, _)| i),
-            RefineOrder::WidestBound => refinable
-                .max_by(|(_, a), (_, b)| {
-                    (a.upper - a.lower)
-                        .partial_cmp(&(b.upper - b.lower))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.seq.cmp(&a.seq))
-                })
-                .map(|(i, _)| i),
-        }
     }
 
     fn push_summary<S, M>(
@@ -1088,11 +1037,12 @@ impl QueryCursor {
 /// zero-copy view of the current epoch, used when no batch is in flight)
 /// and the **pinned snapshot** ([`crate::TreeSnapshot`] — an owned,
 /// `Send + Sync`, point-in-time view that stays bit-stable while later
-/// batches mutate the tree).  Every query-engine entry point
+/// batches mutate the tree).  Every single-view query-engine entry point
 /// ([`TreeView::begin_query`], [`TreeView::refine_query`],
-/// [`TreeView::query_batch`], [`TreeView::outlier_score`], …) is a provided
-/// method of this trait, so both views answer queries through literally the
-/// same code.
+/// [`TreeView::query_batch`], …) is a provided method of this trait, so
+/// both views answer queries through literally the same code; reads that
+/// span shards — outlier scoring among them — run on slices of views
+/// through [`ShardSet`](crate::ShardSet).
 pub trait TreeView<S: Summary, L> {
     /// Dimensionality of the indexed data.
     fn dims(&self) -> usize;
@@ -1318,53 +1268,6 @@ pub trait TreeView<S: Summary, L> {
         }
         recorder.finish(cursor.stats());
         (answers, *cursor.stats())
-    }
-
-    /// Anytime outlier scoring: refines the density bounds (widest interval
-    /// first) until the verdict against `threshold` is certain or `budget`
-    /// node reads are spent — the first insert-free workload over the same
-    /// index, needing only a [`Summary`] + [`QueryModel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    fn outlier_score<M>(
-        &self,
-        model: &M,
-        query: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore
-    where
-        M: QueryModel<S, LeafItem = L>,
-    {
-        let started = crate::obs::boundary_timer();
-        let mut cursor = self.new_query(model, query);
-        let mut verdict = cursor.answer().verdict(threshold);
-        let mut round: u32 = 0;
-        while verdict == OutlierVerdict::Undecided
-            && cursor.nodes_read() < budget
-            && self.refine_query(model, RefineOrder::WidestBound, &mut cursor)
-        {
-            round += 1;
-            let answer = cursor.answer();
-            verdict = answer.verdict(threshold);
-            crate::obs::record_refine_step(
-                round,
-                cursor.nodes_read() as u64,
-                answer.uncertainty(),
-                verdict != OutlierVerdict::Undecided,
-            );
-        }
-        let score = OutlierScore {
-            answer: cursor.answer(),
-            verdict,
-        };
-        crate::obs::record_verdict(verdict);
-        crate::obs::record_query_answer(&score.answer, started);
-        crate::obs::record_query_stats(cursor.stats());
-        score
     }
 }
 
@@ -1681,13 +1584,15 @@ mod tests {
 
     #[test]
     fn outlier_scoring_decides_with_few_reads() {
+        use crate::ShardSet;
         let tree = sample_tree(200, usize::MAX);
+        let one = std::slice::from_ref(&tree);
         // A point far from both clusters: certainly an outlier at any
         // reasonable threshold.
-        let far = tree.outlier_score(&BlobQueryModel, &[400.0, -400.0], 1e-3, 1_000);
+        let far = one.outlier_score(&BlobQueryModel, &[400.0, -400.0], 1e-3, 1_000);
         assert_eq!(far.verdict, OutlierVerdict::Outlier);
         // A point in the middle of the dense cluster: certainly an inlier.
-        let near = tree.outlier_score(&BlobQueryModel, &[0.2, 0.2], 1e-3, 1_000);
+        let near = one.outlier_score(&BlobQueryModel, &[0.2, 0.2], 1e-3, 1_000);
         assert_eq!(near.verdict, OutlierVerdict::Inlier);
         // The outlier decision needed fewer reads than exhausting the tree.
         assert!(far.answer.nodes_read < tree.num_nodes());

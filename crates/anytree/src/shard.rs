@@ -27,11 +27,17 @@
 //! is a histogram fold.  A sharded tree with one shard performs exactly the
 //! plain tree's steps, which the equivalence property tests lock down.
 //!
-//! Since PR 5 the layer also runs **pipelined**:
-//! [`ShardedAnytimeTree::snapshot`] pins every shard's published epoch into
-//! one `Send + Sync`
+//! Reads have **one path**: [`ShardSet`] is implemented once for any slice
+//! of [`TreeView`]s, so the live shards, the pinned snapshot shards and a
+//! plain tree or snapshot (the one-shard slice) fold their per-shard
+//! frontiers through the same code.  Density queries refine the shards in
+//! parallel; outlier scoring is one sequential widest-bound-first loop
+//! over the shard cursors whose budget caps the *total* node reads.
+//!
+//! The layer also runs **pipelined**: [`ShardedAnytimeTree::snapshot`]
+//! pins every shard's published epoch into one `Send + Sync`
 //! [`ShardedTreeSnapshot`], and [`ShardedAnytimeTree::pipelined_batch`]
-//! drains a mini-batch through the per-shard writers *while* reader threads
+//! drains a mini-batch through the per-shard writers *while* readers
 //! refine a query batch against that pre-batch snapshot — reads and writes
 //! overlap on the same index without locks, and the readers' answers are
 //! exactly the pre-batch answers (`tests/snapshot_isolation.rs`).
@@ -110,35 +116,34 @@ impl<S: Summary> ShardRouter<S> for FixedPartitionRouter {
     }
 }
 
-/// The sharded tree's single concurrency dispatch: runs `run` over the
-/// selected `(shard, state)` pairs — inline when at most one pair is
-/// selected (so a 1-shard tree performs exactly the plain tree's steps,
-/// with no thread overhead), on one scoped thread per pair otherwise.
-/// Every parallel path (batched insertion, frontier refinement, batched
-/// queries, outlier rounds) goes through here, so the dispatch policy
+/// The sharded tree's single concurrency dispatch: runs `run` over every
+/// `(shard, state)` pair, giving each *busy* pair its own scoped thread
+/// when more than one pair is busy and running everything else inline (so
+/// a 1-shard tree performs exactly the plain tree's steps, with no thread
+/// overhead).  Every parallel path (batched insertion, frontier
+/// refinement, batched queries) goes through here, so the dispatch policy
 /// exists exactly once.
 fn dispatch_busy<A: Send, B: Send>(
     pairs: Vec<(A, B)>,
     busy: impl Fn(&A, &B) -> bool,
     run: impl Fn(A, B) + Sync,
 ) {
-    let count = pairs.iter().filter(|(a, b)| busy(a, b)).count();
-    if count <= 1 {
+    if pairs.iter().filter(|(a, b)| busy(a, b)).count() <= 1 {
+        for (a, b) in pairs {
+            run(a, b);
+        }
+        return;
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
         for (a, b) in pairs {
             if busy(&a, &b) {
+                scope.spawn(move || run(a, b));
+            } else {
                 run(a, b);
             }
         }
-    } else {
-        std::thread::scope(|scope| {
-            let run = &run;
-            for (a, b) in pairs {
-                if busy(&a, &b) {
-                    scope.spawn(move || run(a, b));
-                }
-            }
-        });
-    }
+    });
 }
 
 /// A routed batch, ready for the per-shard writers: the per-shard object
@@ -270,11 +275,9 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     /// published epoch (one [`TreeSnapshot`] per shard, each pinning its
     /// shard's epoch registry).
     ///
-    /// The snapshot answers the full sharded query surface
-    /// ([`ShardedTreeSnapshot::query_with_budget`],
-    /// [`ShardedTreeSnapshot::query_batch`],
-    /// [`ShardedTreeSnapshot::outlier_score`]) bit-identically to querying
-    /// this tree at snapshot time, and it is `Send + Sync`, so reader
+    /// Its [`ShardedTreeSnapshot::shards`] answer the full [`ShardSet`]
+    /// read surface bit-identically to querying this tree's
+    /// [`Self::shards`] at snapshot time, and it is `Send + Sync`, so reader
     /// threads can refine against it while writers drain later batches into
     /// the live shards — the pipelined mode below does exactly that.
     #[must_use]
@@ -427,8 +430,10 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
                 .collect(),
             |_, (objs, _)| !objs.is_empty(),
             |shard, (objs, slot)| {
-                let mut model = make_model();
-                *slot = Some(shard.insert_batch(&mut model, objs, budget));
+                if !objs.is_empty() {
+                    let mut model = make_model();
+                    *slot = Some(shard.insert_batch(&mut model, objs, budget));
+                }
             },
         );
 
@@ -460,28 +465,29 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// without locks.
     ///
     /// Concretely: the coordinator pins a [`ShardedTreeSnapshot`] (the
-    /// pre-batch epochs), routes the whole batch, then one scoped writer
-    /// thread per busy shard drains its share (exactly
-    /// [`Self::insert_batch`]) while one scoped reader thread per non-empty
-    /// snapshot shard refines the entire query batch against its frozen
-    /// shard view.  Writers copy-on-write any node the snapshot still pins,
-    /// so the returned answers are **exactly the pre-batch answers** —
-    /// bit-identical to calling [`Self::query_batch`] before the batch
-    /// (property-tested in `tests/snapshot_isolation.rs`).
+    /// pre-batch epochs), routes the whole batch, then a scoped writer
+    /// thread drains every busy shard's share (exactly
+    /// [`Self::insert_batch`]) while the calling thread answers the query
+    /// batch against the frozen shards through [`ShardSet::query_batch`].
+    /// Writers copy-on-write any node the snapshot still pins, so the
+    /// returned answers are **exactly the pre-batch answers** —
+    /// bit-identical to calling [`ShardSet::query_batch`] on
+    /// [`Self::shards`] before the batch (property-tested in
+    /// `tests/snapshot_isolation.rs`).
     ///
-    /// `make_query_model` must use the *pre-batch* global normaliser for
-    /// that equivalence to extend across shards.
+    /// `query_model` must use the *pre-batch* global normaliser for that
+    /// equivalence to extend across shards.
     ///
     /// # Panics
     ///
     /// Panics if any query has the wrong dimensionality.
     #[allow(clippy::too_many_arguments)]
-    pub fn pipelined_batch<M, F, Q, G>(
+    pub fn pipelined_batch<M, F, Q>(
         &mut self,
         make_model: &F,
         objs: Vec<M::Object>,
         budget: usize,
-        make_query_model: &G,
+        query_model: &Q,
         queries: &[Vec<f64>],
         order: RefineOrder,
         query_budget: usize,
@@ -492,41 +498,22 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
         S: Send + Sync,
         L: Send + Sync + Clone,
         R: Send,
-        Q: QueryModel<S, LeafItem = L>,
+        Q: QueryModel<S, LeafItem = L> + Sync,
         F: Fn() -> M + Sync,
-        G: Fn() -> Q + Sync,
     {
         let snapshot = self.snapshot();
         let (per_shard_objs, per_shard_idx, total) = self.route_batch(make_model, objs);
-        let num_shards = snapshot.num_shards();
-        let mut insert_slot: Option<ShardedBatchOutcome> = None;
-        let mut per_shard_answers: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
-            (0..num_shards).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let writer = &mut *self;
-            let insert_slot = &mut insert_slot;
-            scope.spawn(move || {
-                *insert_slot = Some(writer.descend_routed(
-                    make_model,
-                    per_shard_objs,
-                    per_shard_idx,
-                    total,
-                    budget,
-                ));
+        let (insert, (answers, query_stats)) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                self.descend_routed(make_model, per_shard_objs, per_shard_idx, total, budget)
             });
-            for (shard, slot) in snapshot.shards().iter().zip(per_shard_answers.iter_mut()) {
-                if shard.node(shard.root()).is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    let model = make_query_model();
-                    *slot = Some(shard.query_batch(&model, queries, order, query_budget));
-                });
-            }
+            let read = snapshot
+                .shards()
+                .query_batch(query_model, queries, order, query_budget);
+            (writer.join().expect("writer thread completed"), read)
         });
-        let (answers, query_stats) = fold_query_partials(per_shard_answers, queries.len());
         PipelinedOutcome {
-            insert: insert_slot.expect("writer thread completed"),
+            insert,
             answers,
             query_stats,
         }
@@ -585,8 +572,8 @@ impl ShardedQueryAnswer {
     }
 
     /// Adds shard `k`'s partial answer into the fold — the single place the
-    /// fold arithmetic lives, shared by the one-shot, batched and
-    /// outlier-scoring paths.
+    /// fold arithmetic lives, shared by the one-shot, batched, pipelined
+    /// and outlier-scoring paths.
     fn accumulate(&mut self, k: usize, partial: &QueryAnswer) {
         self.estimate += partial.estimate;
         self.lower += partial.lower;
@@ -597,10 +584,21 @@ impl ShardedQueryAnswer {
 
     fn fold(cursors: &[QueryCursor]) -> Self {
         let mut answer = ShardedQueryAnswer::empty(cursors.len());
-        for (k, cursor) in cursors.iter().enumerate() {
-            answer.accumulate(k, &cursor.answer());
-        }
+        answer.refold(cursors);
         answer
+    }
+
+    /// Re-folds the cursors' current partials in place, without
+    /// allocating — the outlier loop re-folds after every node read.
+    fn refold(&mut self, cursors: &[QueryCursor]) {
+        self.estimate = 0.0;
+        self.lower = 0.0;
+        self.upper = 0.0;
+        self.nodes_read = 0;
+        self.per_shard_nodes.fill(0);
+        for (k, cursor) in cursors.iter().enumerate() {
+            self.accumulate(k, &cursor.answer());
+        }
     }
 }
 
@@ -613,294 +611,251 @@ pub struct PipelinedOutcome {
     /// [`ShardedAnytimeTree::insert_batch`]'s).
     pub insert: ShardedBatchOutcome,
     /// Per-query folded answers — **exactly** what
-    /// [`ShardedAnytimeTree::query_batch`] would have returned before the
-    /// batch.
+    /// [`ShardSet::query_batch`] on the live shards would have returned
+    /// before the batch.
     pub answers: Vec<ShardedQueryAnswer>,
     /// The readers' merged work counters.
     pub query_stats: QueryStats,
 }
 
-/// Folds per-shard `(answers, stats)` partials into per-query global
-/// answers — shared by the batched, snapshot and pipelined query paths.
-fn fold_query_partials(
-    per_shard: Vec<Option<(Vec<QueryAnswer>, QueryStats)>>,
-    num_queries: usize,
-) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-    let num_shards = per_shard.len();
+/// The per-shard cursors' work counters, merged.
+fn merged_stats(cursors: &[QueryCursor]) -> QueryStats {
     let mut stats = QueryStats::default();
-    let mut answers: Vec<ShardedQueryAnswer> = (0..num_queries)
-        .map(|_| ShardedQueryAnswer::empty(num_shards))
-        .collect();
-    for (k, slot) in per_shard.into_iter().enumerate() {
-        let Some((partials, shard_stats)) = slot else {
-            continue;
-        };
-        stats.merge(&shard_stats);
-        for (answer, partial) in answers.iter_mut().zip(partials) {
-            answer.accumulate(k, &partial);
-        }
+    for cursor in cursors {
+        stats.merge(cursor.stats());
     }
-    (answers, stats)
+    stats
 }
 
-/// Refines one query's per-shard frontiers **in parallel** over any set of
-/// tree views — the live shards and the pinned snapshot shards run exactly
-/// this code.
-fn refine_frontiers_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
-    query: &[f64],
-    order: RefineOrder,
-    budget: usize,
-) -> Vec<QueryCursor>
-where
-    S: Summary + Send + Sync,
-    L: Send + Sync,
-    V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
-{
-    let mut cursors: Vec<QueryCursor> = (0..shards.len()).map(|_| QueryCursor::new()).collect();
-    dispatch_busy(
-        shards.iter().zip(cursors.iter_mut()).collect(),
-        |shard, _| !shard.node(shard.root()).is_empty(),
-        |shard, cursor| {
-            let model = make_model();
-            shard.begin_query(&model, query, cursor);
-            shard.refine_query_up_to(&model, order, budget, cursor);
-        },
-    );
-    cursors
-}
-
-/// Per-shard whole-batch refinement folded per query — the generic body of
-/// the live and snapshot `query_batch`s.
-fn query_batch_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
-    queries: &[Vec<f64>],
-    order: RefineOrder,
-    budget: usize,
-) -> (Vec<ShardedQueryAnswer>, QueryStats)
-where
-    S: Summary + Send + Sync,
-    L: Send + Sync,
-    V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
-{
-    let mut per_shard: Vec<Option<(Vec<QueryAnswer>, QueryStats)>> =
-        (0..shards.len()).map(|_| None).collect();
-    dispatch_busy(
-        shards.iter().zip(per_shard.iter_mut()).collect(),
-        |shard, _| !shard.node(shard.root()).is_empty(),
-        |shard, slot| {
-            let model = make_model();
-            *slot = Some(shard.query_batch(&model, queries, order, budget));
-        },
-    );
-    fold_query_partials(per_shard, queries.len())
-}
-
-/// Folds freshly refined one-shot cursors into the global answer and
-/// flushes the query's observations (summed per-shard work counters,
-/// folded bound width, wall-clock latency) into the registry — shared by
-/// the live and snapshot `query_with_budget`s.
-fn fold_one_shot(
-    cursors: &[QueryCursor],
-    started: Option<std::time::Instant>,
-) -> ShardedQueryAnswer {
-    let folded = ShardedQueryAnswer::fold(cursors);
-    if started.is_some() {
-        let mut stats = QueryStats::default();
-        for cursor in cursors {
-            stats.merge(cursor.stats());
-        }
-        crate::obs::record_query_answer(&folded.as_answer(), started);
-        crate::obs::record_query_stats(&stats);
-    }
-    folded
-}
-
-/// Round-doubling sharded outlier scoring — the generic body of the live
-/// and snapshot `outlier_score`s.
-fn outlier_score_over<S, L, V, M, F>(
-    shards: &[V],
-    make_model: &F,
-    query: &[f64],
-    threshold: f64,
-    budget: usize,
-) -> OutlierScore
-where
-    S: Summary + Send + Sync,
-    L: Send + Sync,
-    V: TreeView<S, L> + Sync,
-    M: QueryModel<S, LeafItem = L>,
-    F: Fn() -> M + Sync,
-{
-    // Seed every non-empty shard's frontier without spending budget.
-    let started = crate::obs::boundary_timer();
-    let mut cursors = refine_frontiers_over(shards, make_model, query, RefineOrder::WidestBound, 0);
-    let mut spent = 0usize;
-    let mut round = 1usize;
-    let mut rounds_done: u32 = 0;
-    loop {
-        let folded = ShardedQueryAnswer::fold(&cursors);
-        let answer = folded.as_answer();
-        let verdict = answer.verdict(threshold);
-        if rounds_done > 0 {
-            crate::obs::record_refine_step(
-                rounds_done,
-                spent as u64,
-                answer.uncertainty(),
-                verdict != OutlierVerdict::Undecided,
-            );
-        }
-        let refinable = cursors.iter().any(QueryCursor::can_refine);
-        if verdict != OutlierVerdict::Undecided || spent >= budget || !refinable {
-            if started.is_some() {
-                let mut stats = QueryStats::default();
-                for cursor in &cursors {
-                    stats.merge(cursor.stats());
-                }
-                crate::obs::record_verdict(verdict);
-                crate::obs::record_query_answer(&answer, started);
-                crate::obs::record_query_stats(&stats);
+/// The shard whose next widest-bound refinement is widest (ties go to the
+/// lowest shard index), or `None` when no shard can refine.
+fn widest_shard(cursors: &mut [QueryCursor]) -> Option<usize> {
+    let mut widest: Option<(usize, f64)> = None;
+    for (k, cursor) in cursors.iter_mut().enumerate() {
+        if let Some(idx) = cursor.peek_next(RefineOrder::WidestBound) {
+            let element = &cursor.elements()[idx];
+            let width = element.upper - element.lower;
+            if widest.is_none_or(|(_, w)| width > w) {
+                widest = Some((k, width));
             }
-            return OutlierScore { answer, verdict };
         }
-        let step = round.min(budget - spent);
-        dispatch_busy(
-            shards.iter().zip(cursors.iter_mut()).collect(),
-            |_, cursor| cursor.can_refine(),
-            |shard, cursor| {
-                let model = make_model();
-                shard.refine_query_up_to(&model, RefineOrder::WidestBound, step, cursor);
-            },
-        );
-        spent += step;
-        round = round.saturating_mul(2);
-        rounds_done += 1;
     }
+    widest.map(|(k, _)| k)
 }
 
-impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
-    /// Refines one query's per-shard frontiers **in parallel** on scoped
-    /// threads (each shard up to `budget` node reads) and returns the
-    /// per-shard cursors for the caller to fold.
-    ///
-    /// `make_model` constructs one query model per worker; every model must
-    /// share the same global normaliser so partial answers fold by
-    /// summation.  Shards that hold no data are skipped (their cursors stay
-    /// empty), and when at most one shard holds data the refinement runs
-    /// inline — a 1-shard tree performs exactly the single tree's steps.
+/// The read surface of a set of shard views — the one query path.
+///
+/// Implemented once for any slice of [`TreeView`]s, so the live shards
+/// ([`ShardedAnytimeTree::shards`]), the pinned snapshot shards
+/// ([`ShardedTreeSnapshot::shards`]) and a plain tree or snapshot (the
+/// one-shard case, `std::slice::from_ref(&tree)`) all answer through
+/// literally the same code.  The model must use the *global* normaliser
+/// (e.g. the total object count across shards) so per-shard partial
+/// answers fold by summation.
+pub trait ShardSet<S: Summary, L> {
+    /// Begins `query` on every shard and refines each shard's frontier up
+    /// to `budget` node reads **in parallel** (one scoped thread per
+    /// non-empty shard; inline when at most one shard holds data, so a
+    /// one-shard set performs exactly the single tree's steps).  Returns
+    /// the per-shard cursors for the caller to fold.
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
-    pub fn refine_frontiers<M, F>(
+    fn refine_frontiers<M>(
         &self,
-        make_model: &F,
+        model: &M,
         query: &[f64],
         order: RefineOrder,
         budget: usize,
     ) -> Vec<QueryCursor>
     where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        refine_frontiers_over(&self.shards, make_model, query, order, budget)
-    }
+        M: QueryModel<S, LeafItem = L> + Sync;
 
-    /// One-shot sharded query: refines every shard's frontier in parallel
-    /// (each up to `budget` node reads) and folds the partials into one
-    /// global mixture answer.
+    /// One-shot query: [`Self::refine_frontiers`] folded into one global
+    /// mixture answer whose bounds inherit each shard's monotonicity.
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
-    pub fn query_with_budget<M, F>(
+    fn query_with_budget<M>(
         &self,
-        make_model: &F,
+        model: &M,
         query: &[f64],
         order: RefineOrder,
         budget: usize,
     ) -> ShardedQueryAnswer
     where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        let started = crate::obs::boundary_timer();
-        fold_one_shot(
-            &self.refine_frontiers(make_model, query, order, budget),
-            started,
-        )
-    }
+        M: QueryModel<S, LeafItem = L> + Sync;
 
-    /// Refines a batch of queries across all shards: one scoped thread per
-    /// shard processes the **whole batch** through one reused cursor (so
-    /// thread-spawn cost amortises over the batch and the frontier
-    /// allocation is per-shard scratch), then the per-shard partials are
-    /// folded per query.  Returns the per-query global answers plus the
-    /// merged [`QueryStats`].
+    /// Refines a batch of queries: every shard processes the **whole
+    /// batch** through one reused cursor (in parallel, like
+    /// [`Self::refine_frontiers`]), then the per-shard partials are folded
+    /// per query.  Returns the per-query global answers plus the merged
+    /// [`QueryStats`].
     ///
     /// # Panics
     ///
     /// Panics if any query has the wrong dimensionality.
     #[must_use]
-    pub fn query_batch<M, F>(
+    fn query_batch<M>(
         &self,
-        make_model: &F,
+        model: &M,
         queries: &[Vec<f64>],
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats)
     where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        query_batch_over(&self.shards, make_model, queries, order, budget)
-    }
+        M: QueryModel<S, LeafItem = L> + Sync;
 
-    /// Anytime outlier scoring over the sharded index: every shard refines
-    /// its density bounds in parallel (widest interval first), the intervals
-    /// are folded, and the verdict is taken from the folded global bound.
+    /// Anytime outlier scoring: refines the folded density bounds one node
+    /// read at a time until the verdict against `threshold` is certain,
+    /// the **total** node reads across shards reach `budget`, or nothing
+    /// is refinable.
     ///
-    /// Like the single-tree path, this stops early: refinement proceeds in
-    /// doubling per-shard rounds with a fold-and-check between rounds, so a
-    /// clear-cut verdict costs far less than the full `budget`.  How early
-    /// depends on the model's bound tightness: MBR-backed bounds (Bayes
-    /// tree, and since PR 5 the micro-cluster's optional MBR) decide
-    /// far-away outliers almost immediately, while a distance-blind peak
-    /// upper bound resolves inlier verdicts quickly but needs deep
-    /// refinement to certify an outlier.
+    /// Each step refines the shard whose next widest-bound element is
+    /// widest (ties go to the lowest shard index), sequentially on the
+    /// calling thread, so `budget` bounds the answer's `nodes_read` at any
+    /// shard count, and a one-shard set performs exactly the single-tree
+    /// widest-bound-first steps.  How early the verdict comes depends on
+    /// the model's bound tightness: MBR-backed bounds decide far-away
+    /// outliers almost immediately, while a distance-blind peak upper
+    /// bound resolves inliers quickly but needs deep refinement to certify
+    /// an outlier.
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
-    pub fn outlier_score<M, F>(
+    fn outlier_score<M>(
         &self,
-        make_model: &F,
+        model: &M,
+        query: &[f64],
+        threshold: f64,
+        budget: usize,
+    ) -> OutlierScore
+    where
+        M: QueryModel<S, LeafItem = L>;
+}
+
+impl<S, L, V> ShardSet<S, L> for [V]
+where
+    S: Summary + Send + Sync,
+    L: Send + Sync,
+    V: TreeView<S, L> + Sync,
+{
+    fn refine_frontiers<M>(
+        &self,
+        model: &M,
+        query: &[f64],
+        order: RefineOrder,
+        budget: usize,
+    ) -> Vec<QueryCursor>
+    where
+        M: QueryModel<S, LeafItem = L> + Sync,
+    {
+        let mut cursors: Vec<QueryCursor> = self.iter().map(|_| QueryCursor::new()).collect();
+        dispatch_busy(
+            self.iter().zip(cursors.iter_mut()).collect(),
+            |shard, _| !shard.node(shard.root()).is_empty(),
+            |shard, cursor| {
+                shard.begin_query(model, query, cursor);
+                shard.refine_query_up_to(model, order, budget, cursor);
+            },
+        );
+        cursors
+    }
+
+    fn query_with_budget<M>(
+        &self,
+        model: &M,
+        query: &[f64],
+        order: RefineOrder,
+        budget: usize,
+    ) -> ShardedQueryAnswer
+    where
+        M: QueryModel<S, LeafItem = L> + Sync,
+    {
+        let started = crate::obs::boundary_timer();
+        let cursors = self.refine_frontiers(model, query, order, budget);
+        let folded = ShardedQueryAnswer::fold(&cursors);
+        crate::obs::record_query_answer(&folded.as_answer(), started);
+        crate::obs::record_query_stats(&merged_stats(&cursors));
+        folded
+    }
+
+    fn query_batch<M>(
+        &self,
+        model: &M,
+        queries: &[Vec<f64>],
+        order: RefineOrder,
+        budget: usize,
+    ) -> (Vec<ShardedQueryAnswer>, QueryStats)
+    where
+        M: QueryModel<S, LeafItem = L> + Sync,
+    {
+        let mut per_shard: Vec<(Vec<QueryAnswer>, QueryStats)> =
+            self.iter().map(|_| Default::default()).collect();
+        dispatch_busy(
+            self.iter().zip(per_shard.iter_mut()).collect(),
+            |shard, _| !shard.node(shard.root()).is_empty(),
+            |shard, slot| *slot = shard.query_batch(model, queries, order, budget),
+        );
+        let mut stats = QueryStats::default();
+        let mut answers: Vec<ShardedQueryAnswer> = queries
+            .iter()
+            .map(|_| ShardedQueryAnswer::empty(self.len()))
+            .collect();
+        for (k, (partials, shard_stats)) in per_shard.iter().enumerate() {
+            stats.merge(shard_stats);
+            for (answer, partial) in answers.iter_mut().zip(partials) {
+                answer.accumulate(k, partial);
+            }
+        }
+        (answers, stats)
+    }
+
+    fn outlier_score<M>(
+        &self,
+        model: &M,
         query: &[f64],
         threshold: f64,
         budget: usize,
     ) -> OutlierScore
     where
         M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
     {
-        outlier_score_over(&self.shards, make_model, query, threshold, budget)
+        let started = crate::obs::boundary_timer();
+        let mut cursors: Vec<QueryCursor> = self
+            .iter()
+            .map(|shard| shard.new_query(model, query))
+            .collect();
+        let mut folded = ShardedQueryAnswer::fold(&cursors);
+        let mut answer = folded.as_answer();
+        let mut verdict = answer.verdict(threshold);
+        let mut step: u32 = 0;
+        while verdict == OutlierVerdict::Undecided && answer.nodes_read < budget {
+            let Some(k) = widest_shard(&mut cursors) else {
+                break;
+            };
+            self[k].refine_query(model, RefineOrder::WidestBound, &mut cursors[k]);
+            step += 1;
+            folded.refold(&cursors);
+            answer = folded.as_answer();
+            verdict = answer.verdict(threshold);
+            crate::obs::record_refine_step(
+                step,
+                answer.nodes_read as u64,
+                answer.uncertainty(),
+                verdict != OutlierVerdict::Undecided,
+            );
+        }
+        crate::obs::record_verdict(verdict);
+        crate::obs::record_query_answer(&answer, started);
+        crate::obs::record_query_stats(&merged_stats(&cursors));
+        OutlierScore { answer, verdict }
     }
 }
 
@@ -927,12 +882,6 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
     #[must_use]
     pub fn shards(&self) -> &[TreeSnapshot<S, L>] {
         &self.shards
-    }
-
-    /// One shard's snapshot.
-    #[must_use]
-    pub fn shard(&self, k: usize) -> &TreeSnapshot<S, L> {
-        &self.shards[k]
     }
 
     /// The per-shard epochs this snapshot pins.
@@ -968,103 +917,6 @@ impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
             total.pages_refreshed += report.pages_refreshed;
         }
         total
-    }
-
-    /// Refines one query's per-shard frontiers in parallel against the
-    /// frozen shard views and returns the per-shard cursors for the caller
-    /// to fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn refine_frontiers<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> Vec<QueryCursor>
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        refine_frontiers_over(&self.shards, make_model, query, order, budget)
-    }
-
-    /// One-shot sharded query against the snapshot (see
-    /// [`ShardedAnytimeTree::query_with_budget`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_with_budget<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> ShardedQueryAnswer
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        let started = crate::obs::boundary_timer();
-        fold_one_shot(
-            &self.refine_frontiers(make_model, query, order, budget),
-            started,
-        )
-    }
-
-    /// Batched sharded queries against the snapshot (see
-    /// [`ShardedAnytimeTree::query_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    pub fn query_batch<M, F>(
-        &self,
-        make_model: &F,
-        queries: &[Vec<f64>],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<ShardedQueryAnswer>, QueryStats)
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        query_batch_over(&self.shards, make_model, queries, order, budget)
-    }
-
-    /// Anytime outlier scoring against the snapshot (see
-    /// [`ShardedAnytimeTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score<M, F>(
-        &self,
-        make_model: &F,
-        query: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore
-    where
-        M: QueryModel<S, LeafItem = L>,
-        S: Send + Sync,
-        L: Send + Sync,
-        F: Fn() -> M + Sync,
-    {
-        outlier_score_over(&self.shards, make_model, query, threshold, budget)
     }
 }
 
@@ -1370,8 +1222,8 @@ mod tests {
                 RefineOrder::BestFirst,
                 budget,
             );
-            let folded = sharded.query_with_budget(
-                &|| BlobQueryModel { n: 150.0 },
+            let folded = sharded.shards().query_with_budget(
+                &BlobQueryModel { n: 150.0 },
                 &query,
                 RefineOrder::BestFirst,
                 budget,
@@ -1393,12 +1245,13 @@ mod tests {
             let _ = plain.insert_batch(&mut model, chunk.to_vec(), usize::MAX);
             let _ = sharded.insert_batch(&|| BlobModel, chunk.to_vec(), usize::MAX);
         }
-        let make_model = || BlobQueryModel { n: 200.0 };
+        let model = BlobQueryModel { n: 200.0 };
+        let shards = sharded.shards();
         for query in [[0.1, 0.2], [20.0, 20.1], [10.0, 10.0]] {
             let reference =
-                plain.query_with_budget(&make_model(), &query, RefineOrder::BestFirst, usize::MAX);
+                plain.query_with_budget(&model, &query, RefineOrder::BestFirst, usize::MAX);
             let folded =
-                sharded.query_with_budget(&make_model, &query, RefineOrder::BestFirst, usize::MAX);
+                shards.query_with_budget(&model, &query, RefineOrder::BestFirst, usize::MAX);
             assert!(
                 (folded.estimate - reference.estimate).abs() <= 1e-12 * (1.0 + reference.estimate),
                 "estimate mismatch at {query:?}"
@@ -1407,12 +1260,11 @@ mod tests {
         }
         // Batched multi-query path agrees with the one-shot path.
         let queries: Vec<Vec<f64>> = vec![vec![0.1, 0.2], vec![20.0, 20.1]];
-        let (answers, stats) =
-            sharded.query_batch(&make_model, &queries, RefineOrder::BestFirst, 5);
+        let (answers, stats) = shards.query_batch(&model, &queries, RefineOrder::BestFirst, 5);
         assert_eq!(answers.len(), 2);
-        assert_eq!(stats.queries, 2 * 4); // every busy shard begins every query
+        assert_eq!(stats.queries, 2 * 4); // every shard begins every query
         for (answer, query) in answers.iter().zip(&queries) {
-            let one_shot = sharded.query_with_budget(&make_model, query, RefineOrder::BestFirst, 5);
+            let one_shot = shards.query_with_budget(&model, query, RefineOrder::BestFirst, 5);
             assert_eq!(answer, &one_shot);
         }
     }

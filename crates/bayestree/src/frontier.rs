@@ -145,12 +145,12 @@ impl<'a, V: TreeView<KernelSummary, Vec<f64>>> TreeFrontier<'a, V> {
             .refine_query_up_to(&self.model, strategy.into(), budget, &mut self.cursor)
     }
 
-    /// Index of the element the strategy would refine next, if any (via the
-    /// cursor's reference scan — see
-    /// [`QueryCursor::peek_next_scan`](bt_anytree::QueryCursor::peek_next_scan)).
+    /// Index of the element the strategy would refine next, if any — the
+    /// cursor's heap selection ([`QueryCursor::peek_next`]), exactly what
+    /// the next [`Self::refine`] consumes.
     #[must_use]
-    pub fn peek_next(&self, strategy: DescentStrategy) -> Option<usize> {
-        self.cursor.peek_next_scan(strategy.into())
+    pub fn peek_next(&mut self, strategy: DescentStrategy) -> Option<usize> {
+        self.cursor.peek_next(strategy.into())
     }
 }
 
@@ -254,7 +254,7 @@ mod tests {
         let tree = sample_tree(400, 7);
         // Query sits in the cluster around (8, 8).
         let query = [8.5, 8.5];
-        let frontier = TreeFrontier::new(&tree, &query);
+        let mut frontier = TreeFrontier::new(&tree, &query);
         let idx = frontier
             .peek_next(DescentStrategy::GlobalBest(PriorityMeasure::Probabilistic))
             .unwrap();
@@ -287,7 +287,7 @@ mod tests {
     fn geometric_descent_selects_closest_mbr() {
         let tree = sample_tree(200, 8);
         let query = [0.2, 0.2];
-        let frontier = TreeFrontier::new(&tree, &query);
+        let mut frontier = TreeFrontier::new(&tree, &query);
         let idx = frontier
             .peek_next(DescentStrategy::GlobalBest(PriorityMeasure::Geometric))
             .unwrap();

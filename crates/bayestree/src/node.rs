@@ -36,7 +36,7 @@
 //!   `[lower, upper]` bounds sound and monotone.  Decoding happens once per
 //!   gather into full-width [`bt_stats::SummaryBlock`] columns (mantissa
 //!   times power-of-two is *exact* in `f64`), so the epoch-stamped block
-//!   cache amortises decode across query batches and the SIMD/FMA batch
+//!   cache amortises decode across query batches and the SIMD batch
 //!   kernels run on decoded columns untouched.
 //!
 //! Every mode routes through the same R* MINDIST/enlargement machinery: the

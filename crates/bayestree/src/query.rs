@@ -26,7 +26,8 @@ use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesTree;
 use bt_anytree::{
-    Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, ShardSet, SummaryScore,
+    TreeView,
 };
 use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
@@ -84,6 +85,14 @@ impl<'a> KernelQueryModel<'a> {
     #[must_use]
     pub fn n(&self) -> f64 {
         self.n
+    }
+
+    /// The model every tree, snapshot and shard set storing `E` summaries
+    /// queries with: normalised by `count` observations, gathering blocks
+    /// at the stored mode's precision ([`StoredElement::GATHER_PRECISION`]).
+    #[must_use]
+    pub(crate) fn stored<E: StoredElement>(count: usize, bandwidth: &'a [f64]) -> Self {
+        Self::new(count, bandwidth).with_precision(E::GATHER_PRECISION)
     }
 }
 
@@ -294,7 +303,7 @@ impl<E: StoredElement> BayesTree<E> {
     /// the bit-identical block path.
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.len(), self.bandwidth()).with_precision(E::GATHER_PRECISION)
+        KernelQueryModel::stored::<E>(self.len(), self.bandwidth())
     }
 
     /// Budget-bracketed anytime density query: refines the frontier with the
@@ -336,15 +345,15 @@ impl<E: StoredElement> BayesTree<E> {
     /// Anytime outlier scoring: refines the density bounds (widest interval
     /// first) until the verdict against `threshold` is certain or `budget`
     /// node reads are spent.  The score is the refinable density interval —
-    /// an insert-free workload over the same index.
+    /// an insert-free workload over the same index, answered by the one
+    /// outlier loop ([`ShardSet::outlier_score`]) as its one-shard case.
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        self.core()
-            .outlier_score(&self.query_model(), x, threshold, budget)
+        std::slice::from_ref(self.core()).outlier_score(&self.query_model(), x, threshold, budget)
     }
 }
 

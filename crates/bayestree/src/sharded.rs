@@ -17,10 +17,11 @@ use crate::descent::DescentStrategy;
 use crate::insert::KernelModel;
 use crate::node::StoredElement;
 use crate::query::KernelQueryModel;
+use crate::tree::check_finite;
 use crate::view::ShardedBayesTreeSnapshot;
 use bt_anytree::{
     AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryStats,
-    ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer,
+    ShardRouter, ShardSet, ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer,
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
@@ -143,6 +144,13 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         )
     }
 
+    /// The kernel-density query model of this sharded tree: normalised by
+    /// the **global** observation count, so per-shard partial densities
+    /// fold by summation.
+    fn query_model(&self) -> KernelQueryModel<'_> {
+        KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth)
+    }
+
     /// Budget-bracketed anytime density query over all shards: every shard
     /// refines its own frontier **in parallel** (up to `budget` node reads
     /// each, ordered by `strategy`), and the per-shard partial densities are
@@ -161,14 +169,9 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            x,
-            strategy.into(),
-            budget,
-        )
+        self.core
+            .shards()
+            .query_with_budget(&self.query_model(), x, strategy.into(), budget)
     }
 
     /// Refines a batch of density queries across all shards (one worker per
@@ -185,33 +188,24 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            queries,
-            strategy.into(),
-            budget,
-        )
+        self.core
+            .shards()
+            .query_batch(&self.query_model(), queries, strategy.into(), budget)
     }
 
-    /// Anytime outlier scoring over the sharded index: the per-shard density
-    /// bounds refine in parallel and the verdict is taken from the folded
-    /// global interval.
+    /// Anytime outlier scoring over the sharded index: each node read
+    /// refines the shard with the widest next bound, the verdict is taken
+    /// from the folded global interval, and `budget` caps the **total**
+    /// node reads across shards ([`ShardSet::outlier_score`]).
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            x,
-            threshold,
-            budget,
-        )
+        self.core
+            .shards()
+            .outlier_score(&self.query_model(), x, threshold, budget)
     }
 
     /// The per-dimension kernel bandwidth used for leaf-level kernels.
@@ -285,9 +279,10 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         acc / self.num_points as f64
     }
 
-    /// Validates per-shard consistency: the aggregated root weight of every
-    /// shard matches its reachable observations, and the total matches
-    /// [`Self::len`].
+    /// Validates per-shard consistency: every stored value is finite (the
+    /// same check [`crate::BayesTree::validate`] runs), the aggregated root
+    /// weight of every shard matches its reachable observations, and the
+    /// total matches [`Self::len`].
     ///
     /// # Errors
     ///
@@ -297,7 +292,9 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
         for (k, shard) in self.core.shards().iter().enumerate() {
             let mut shard_points = 0usize;
             for id in shard.reachable() {
-                if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
+                let node = shard.node(id);
+                check_finite(id, node).map_err(|e| format!("shard {k}: {e}"))?;
+                if let bt_anytree::NodeKind::Leaf { items } = &node.kind {
                     shard_points += items.len();
                 }
             }
@@ -381,14 +378,13 @@ impl<R: ShardRouter<E::Summary>, E: StoredElement> ShardedBayesTree<R, E> {
         );
         // The readers answer against the pre-batch state, so they normalise
         // by the pre-batch observation count.
-        let n = self.num_points;
-        let bandwidth = self.bandwidth.clone();
+        let query_model = KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth);
         self.num_points += points.len();
         self.core.pipelined_batch(
             &|| KernelModel { dims },
             points,
             usize::MAX,
-            &|| KernelQueryModel::new(n, &bandwidth).with_precision(E::GATHER_PRECISION),
+            &query_model,
             queries,
             strategy.into(),
             query_budget,
@@ -556,13 +552,34 @@ mod tests {
         sharded.set_bandwidth(vec![0.5, 0.5]);
         let score = sharded.outlier_score(&[1000.0, -1000.0], 1e-6, 10_000);
         assert_eq!(score.verdict, OutlierVerdict::Outlier);
-        // The verdict is certain long before every shard exhausts its
-        // 10_000-read budget: the round-based refinement exits early.
+        // The verdict is certain long before the 10_000-read budget is
+        // spent: the per-read widest-bound-first loop exits early.
         assert!(
             score.answer.nodes_read < 100,
             "spent {} reads on a clear-cut outlier",
             score.answer.nodes_read
         );
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_observations() {
+        // A NaN coordinate alone (a root-leaf tree) and after a finite
+        // stream (so it reaches entry summaries): both validators must
+        // refuse the tree instead of reporting it valid.
+        for prefix in [0, 60] {
+            let mut stream = random_points(prefix, 2, 12);
+            stream.push(vec![f64::NAN, 1.0]);
+            let mut plain: BayesTree = BayesTree::new(2, geometry());
+            let mut sharded: ShardedBayesTree = ShardedBayesTree::new(2, geometry(), 2);
+            for p in stream {
+                plain.insert(p.clone());
+                sharded.insert(p);
+            }
+            let plain_err = plain.validate(false).expect_err("plain tree with a NaN");
+            assert!(plain_err.contains("non-finite"), "{plain_err}");
+            let sharded_err = sharded.validate().expect_err("sharded tree with a NaN");
+            assert!(sharded_err.contains("non-finite"), "{sharded_err}");
+        }
     }
 
     #[test]

@@ -290,6 +290,7 @@ impl<E: StoredElement> BayesTree<E> {
     ) -> Result<(), String> {
         let geometry = self.geometry();
         let node = self.core.node(id);
+        check_finite(id, node)?;
         match &node.kind {
             bt_anytree::NodeKind::Leaf { items } => {
                 leaf_depths.push(depth);
@@ -467,6 +468,44 @@ impl<E: StoredElement> BayesTree<E> {
     pub(crate) fn measure_depth(&self, node: NodeId) -> usize {
         self.core.measure_depth(node)
     }
+}
+
+/// Checks that everything node `id` stores is finite: every leaf kernel
+/// coordinate, and every entry summary's decoded cluster feature (weight,
+/// linear and squared sums) and box corners.  One NaN or infinity poisons
+/// every density bound above it, so the plain and the sharded validators
+/// both run this on every reachable node.
+pub(crate) fn check_finite<S: StoredSummary>(
+    id: NodeId,
+    node: &bt_anytree::Node<S, Vec<f64>>,
+) -> Result<(), String> {
+    match &node.kind {
+        bt_anytree::NodeKind::Leaf { items } => {
+            if items.iter().flatten().any(|v| !v.is_finite()) {
+                return Err(format!("leaf {id} holds a non-finite observation"));
+            }
+        }
+        bt_anytree::NodeKind::Inner { entries } => {
+            for (i, entry) in entries.iter().enumerate() {
+                let cf = entry.exact_cf();
+                let cf_finite = cf.weight().is_finite()
+                    && cf
+                        .linear_sum()
+                        .iter()
+                        .chain(cf.squared_sum())
+                        .all(|v| v.is_finite());
+                let box_finite = entry
+                    .owned_mbr()
+                    .is_none_or(|mbr| mbr.lower().iter().chain(mbr.upper()).all(|v| v.is_finite()));
+                if !(cf_finite && box_finite) {
+                    return Err(format!(
+                        "entry {i} of node {id} stores a non-finite summary"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Total declared LS quantisation slack of a node's own entries (zero for

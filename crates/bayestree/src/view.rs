@@ -17,8 +17,8 @@ use crate::qbk::RefinementStrategy;
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
 use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, ShardedQueryAnswer, ShardedTreeSnapshot, TreeSnapshot,
-    TreeView,
+    OutlierScore, QueryAnswer, QueryStats, ShardSet, ShardedQueryAnswer, ShardedTreeSnapshot,
+    TreeSnapshot, TreeView,
 };
 
 /// An epoch-pinned, immutable view of a [`BayesTree`]: the core snapshot
@@ -92,7 +92,7 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     /// tree).
     #[must_use]
     pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::new(self.num_points, &self.bandwidth).with_precision(E::GATHER_PRECISION)
+        KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth)
     }
 
     /// Budget-bracketed anytime density query against the frozen tree —
@@ -138,8 +138,7 @@ impl<E: StoredElement> BayesTreeSnapshot<E> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        self.core
-            .outlier_score(&self.query_model(), x, threshold, budget)
+        std::slice::from_ref(&self.core).outlier_score(&self.query_model(), x, threshold, budget)
     }
 }
 
@@ -213,6 +212,12 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         &self.core
     }
 
+    /// The kernel-density query model frozen at snapshot time, normalised
+    /// by the **global** observation count across the frozen shards.
+    fn query_model(&self) -> KernelQueryModel<'_> {
+        KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth)
+    }
+
     /// Folded anytime density query against the frozen shards — exactly
     /// what the live sharded tree answered at snapshot time.
     ///
@@ -226,14 +231,9 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_with_budget(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            x,
-            strategy.into(),
-            budget,
-        )
+        self.core
+            .shards()
+            .query_with_budget(&self.query_model(), x, strategy.into(), budget)
     }
 
     /// Batched folded density queries against the frozen shards.
@@ -248,14 +248,9 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.query_batch(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            queries,
-            strategy.into(),
-            budget,
-        )
+        self.core
+            .shards()
+            .query_batch(&self.query_model(), queries, strategy.into(), budget)
     }
 
     /// Anytime outlier scoring against the frozen shards.
@@ -265,14 +260,9 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        let n = self.num_points;
-        let bandwidth = &self.bandwidth;
-        self.core.outlier_score(
-            &|| KernelQueryModel::new(n, bandwidth).with_precision(E::GATHER_PRECISION),
-            x,
-            threshold,
-            budget,
-        )
+        self.core
+            .shards()
+            .outlier_score(&self.query_model(), x, threshold, budget)
     }
 }
 

@@ -44,7 +44,7 @@ use crate::microcluster::MicroCluster;
 use crate::tree::ClusTree;
 use bt_anytree::{
     ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement,
-    QueryModel, QueryStats, RefineOrder, SummaryScore, TreeView,
+    QueryModel, QueryStats, RefineOrder, ShardSet, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
@@ -450,7 +450,7 @@ pub struct KnnAnswer {
 /// Total stored weight at root level of one core tree view (entry summaries
 /// cover their subtrees *and* their buffers, so this is everything) — live
 /// trees and pinned snapshots alike.
-pub(crate) fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
+fn stored_weight<V: TreeView<MicroCluster, MicroCluster>>(core: &V) -> f64 {
     match &core.node(core.root()).kind {
         NodeKind::Inner { entries } => entries.iter().map(|e| e.summary.weight()).sum(),
         NodeKind::Leaf { items } => items.iter().map(MicroCluster::weight).sum(),
@@ -474,9 +474,58 @@ pub(crate) fn element_cluster<V: TreeView<MicroCluster, MicroCluster>>(
     }
 }
 
-/// Maps a refined cursor's frontier to its `k` closest clusters.
-pub(crate) fn knn_from_cursors<V: TreeView<MicroCluster, MicroCluster>>(
-    shards: &[&V],
+/// The micro-cluster query model over a set of shard views — normalised by
+/// the **global** stored weight across `shards`, so per-shard partial
+/// scores fold by summation; a plain tree or snapshot is the one-shard
+/// slice.  The one construction behind every `query_model`.
+///
+/// # Panics
+///
+/// Panics if the bandwidth has the wrong dimensionality or a non-positive
+/// component.
+pub(crate) fn shard_query_model<V: TreeView<MicroCluster, MicroCluster>>(
+    shards: &[V],
+    bandwidth: &[f64],
+    decay_lambda: f64,
+) -> ClusQueryModel {
+    assert_eq!(
+        bandwidth.len(),
+        shards[0].dims(),
+        "bandwidth dimensionality mismatch"
+    );
+    let total: f64 = shards.iter().map(stored_weight).sum();
+    ClusQueryModel::new(total, bandwidth.to_vec(), decay_lambda)
+}
+
+/// Anytime k-NN micro-cluster retrieval over a set of shard views — the
+/// one body behind the plain, snapshot and sharded `anytime_knn`s: every
+/// shard's frontier refines closest-first (up to `budget` node reads
+/// each, in parallel across shards), then the shard frontiers are folded
+/// into one ranking and the `k` closest clusters are returned.
+pub(crate) fn anytime_knn_over<V>(
+    shards: &[V],
+    decay_lambda: f64,
+    x: &[f64],
+    k: usize,
+    budget: usize,
+) -> KnnAnswer
+where
+    V: TreeView<MicroCluster, MicroCluster> + Sync,
+{
+    let started = bt_anytree::obs::boundary_timer();
+    let model = shard_query_model(shards, &vec![1.0; shards[0].dims()], decay_lambda);
+    let cursors = shards.refine_frontiers(&model, x, RefineOrder::ClosestFirst, budget);
+    let mut stats = QueryStats::default();
+    for cursor in &cursors {
+        stats.merge(cursor.stats());
+    }
+    bt_anytree::obs::record_external_query(&stats, started);
+    knn_from_cursors(shards, &cursors, &model, k)
+}
+
+/// Maps refined per-shard cursors' frontiers to their `k` closest clusters.
+fn knn_from_cursors<V: TreeView<MicroCluster, MicroCluster>>(
+    shards: &[V],
     cursors: &[QueryCursor],
     model: &ClusQueryModel,
     k: usize,
@@ -497,7 +546,7 @@ pub(crate) fn knn_from_cursors<V: TreeView<MicroCluster, MicroCluster>>(
         .into_iter()
         .map(|(shard_idx, element_idx)| {
             let element = &cursors[shard_idx].elements()[element_idx];
-            let mc = element_cluster(shards[shard_idx], model, element);
+            let mc = element_cluster(&shards[shard_idx], model, element);
             ClusterNeighbor {
                 center: mc.center(),
                 weight: mc.weight(),
@@ -525,14 +574,9 @@ impl ClusTree {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        ClusQueryModel::new(
-            stored_weight(self.core()),
-            bandwidth.to_vec(),
+        shard_query_model(
+            std::slice::from_ref(self.core()),
+            bandwidth,
             self.config().decay_lambda,
         )
     }
@@ -584,13 +628,13 @@ impl ClusTree {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        let mut cursor = self.core().new_query(&model, x);
-        self.core()
-            .refine_query_up_to(&model, RefineOrder::ClosestFirst, budget, &mut cursor);
-        bt_anytree::obs::record_external_query(cursor.stats(), started);
-        knn_from_cursors(&[self.core()], std::slice::from_ref(&cursor), &model, k)
+        anytime_knn_over(
+            std::slice::from_ref(self.core()),
+            self.config().decay_lambda,
+            x,
+            k,
+            budget,
+        )
     }
 
     /// Anytime outlier scoring against a density `threshold` (widest bound
@@ -607,8 +651,12 @@ impl ClusTree {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        self.core()
-            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
+        std::slice::from_ref(self.core()).outlier_score(
+            &self.query_model(bandwidth),
+            x,
+            threshold,
+            budget,
+        )
     }
 }
 

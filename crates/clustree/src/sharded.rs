@@ -15,32 +15,17 @@
 
 use crate::microcluster::MicroCluster;
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
-use crate::query::{knn_from_cursors, stored_weight, ClusQueryModel, KnnAnswer};
+use crate::query::{anytime_knn_over, shard_query_model, ClusQueryModel, KnnAnswer};
 use crate::snapshot::SnapshotStore;
 use crate::tree::{
     collect_micro_clusters, finish_micro_clusters, validate_node, ClusModel, ClusTreeConfig,
 };
 use crate::view::ShardedClusTreeSnapshot;
 use bt_anytree::{
-    AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryCursor,
-    QueryStats, RefineOrder, ShardRouter, ShardedAnytimeTree, ShardedBatchOutcome,
+    AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryStats,
+    RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree, ShardedBatchOutcome,
     ShardedQueryAnswer,
 };
-
-/// Folds a finished sharded k-NN refinement into the registry: the merged
-/// [`QueryStats`] delta across the per-shard cursors plus the retrieval's
-/// wall-clock latency, recorded at the fold boundary like every other
-/// query path.
-pub(crate) fn record_sharded_knn(cursors: &[QueryCursor], started: Option<std::time::Instant>) {
-    if started.is_none() {
-        return;
-    }
-    let mut stats = QueryStats::default();
-    for cursor in cursors {
-        stats.merge(cursor.stats());
-    }
-    bt_anytree::obs::record_external_query(&stats, started);
-}
 
 /// An anytime clustering index sharded into `K` independently descending
 /// subtrees.
@@ -237,13 +222,7 @@ impl<R> ShardedClusTree<R> {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        let total: f64 = self.core.shards().iter().map(stored_weight).sum();
-        ClusQueryModel::new(total, bandwidth.to_vec(), self.config.decay_lambda)
+        shard_query_model(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
     /// Budget-bracketed anytime density score over all shards: per-shard
@@ -262,9 +241,9 @@ impl<R> ShardedClusTree<R> {
         order: RefineOrder,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        let model = self.query_model(bandwidth);
         self.core
-            .query_with_budget(&|| model.clone(), x, order, budget)
+            .shards()
+            .query_with_budget(&self.query_model(bandwidth), x, order, budget)
     }
 
     /// Refines a batch of density queries across all shards (one worker per
@@ -281,9 +260,9 @@ impl<R> ShardedClusTree<R> {
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let model = self.query_model(bandwidth);
         self.core
-            .query_batch(&|| model.clone(), queries, order, budget)
+            .shards()
+            .query_batch(&self.query_model(bandwidth), queries, order, budget)
     }
 
     /// Anytime k-NN micro-cluster retrieval over all shards: per-shard
@@ -296,20 +275,13 @@ impl<R> ShardedClusTree<R> {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        let cursors =
-            self.core
-                .refine_frontiers(&|| model.clone(), x, RefineOrder::ClosestFirst, budget);
-        record_sharded_knn(&cursors, started);
-        let shards: Vec<&AnytimeTree<MicroCluster, MicroCluster>> =
-            self.core.shards().iter().collect();
-        knn_from_cursors(&shards, &cursors, &model, k)
+        anytime_knn_over(self.core.shards(), self.config.decay_lambda, x, k, budget)
     }
 
-    /// Anytime outlier scoring over the sharded index: per-shard density
-    /// bounds refine in parallel and the verdict is taken from the folded
-    /// global interval.
+    /// Anytime outlier scoring over the sharded index: each node read
+    /// refines the shard with the widest next bound, the verdict is taken
+    /// from the folded global interval, and `budget` caps the **total**
+    /// node reads across shards ([`ShardSet::outlier_score`]).
     ///
     /// # Panics
     ///
@@ -322,9 +294,9 @@ impl<R> ShardedClusTree<R> {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        let model = self.query_model(bandwidth);
         self.core
-            .outlier_score(&|| model.clone(), x, threshold, budget)
+            .shards()
+            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
     }
 }
 
@@ -442,7 +414,7 @@ impl<R: ShardRouter<MicroCluster>> ShardedClusTree<R> {
             },
             payloads,
             node_budget,
-            &|| query_model.clone(),
+            &query_model,
             queries,
             order,
             query_budget,

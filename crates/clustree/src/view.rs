@@ -8,11 +8,11 @@
 //! tree (writers copy-on-write any node a snapshot still pins).
 
 use crate::microcluster::MicroCluster;
-use crate::query::{knn_from_cursors, stored_weight, ClusQueryModel, KnnAnswer};
+use crate::query::{anytime_knn_over, shard_query_model, ClusQueryModel, KnnAnswer};
 use crate::tree::{collect_micro_clusters, finish_micro_clusters, ClusTree, ClusTreeConfig};
 use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, RefineOrder, ShardedQueryAnswer, ShardedTreeSnapshot,
-    TreeSnapshot, TreeView,
+    OutlierScore, QueryAnswer, QueryStats, RefineOrder, ShardSet, ShardedQueryAnswer,
+    ShardedTreeSnapshot, TreeSnapshot, TreeView,
 };
 
 /// An epoch-pinned, immutable view of a [`ClusTree`]: the core snapshot plus
@@ -100,14 +100,9 @@ impl ClusTreeSnapshot {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        assert_eq!(
-            bandwidth.len(),
-            self.dims(),
-            "bandwidth dimensionality mismatch"
-        );
-        ClusQueryModel::new(
-            stored_weight(&self.core),
-            bandwidth.to_vec(),
+        shard_query_model(
+            std::slice::from_ref(&self.core),
+            bandwidth,
             self.config.decay_lambda,
         )
     }
@@ -156,13 +151,13 @@ impl ClusTreeSnapshot {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let model = self.query_model(&vec![1.0; self.dims()]);
-        let mut cursor = self.core.new_query(&model, x);
-        self.core
-            .refine_query_up_to(&model, RefineOrder::ClosestFirst, budget, &mut cursor);
-        bt_anytree::obs::record_external_query(cursor.stats(), started);
-        knn_from_cursors(&[&self.core], std::slice::from_ref(&cursor), &model, k)
+        anytime_knn_over(
+            std::slice::from_ref(&self.core),
+            self.config.decay_lambda,
+            x,
+            k,
+            budget,
+        )
     }
 
     /// Anytime outlier scoring against the frozen tree (see
@@ -179,8 +174,12 @@ impl ClusTreeSnapshot {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        self.core
-            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
+        std::slice::from_ref(&self.core).outlier_score(
+            &self.query_model(bandwidth),
+            x,
+            threshold,
+            budget,
+        )
     }
 }
 
@@ -266,10 +265,7 @@ impl ShardedClusTreeSnapshot {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        let dims = self.core.shard(0).dims();
-        assert_eq!(bandwidth.len(), dims, "bandwidth dimensionality mismatch");
-        let total: f64 = self.core.shards().iter().map(stored_weight).sum();
-        ClusQueryModel::new(total, bandwidth.to_vec(), self.config.decay_lambda)
+        shard_query_model(self.core.shards(), bandwidth, self.config.decay_lambda)
     }
 
     /// Folded anytime density score against the frozen shards (see
@@ -286,9 +282,9 @@ impl ShardedClusTreeSnapshot {
         order: RefineOrder,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        let model = self.query_model(bandwidth);
         self.core
-            .query_with_budget(&|| model.clone(), x, order, budget)
+            .shards()
+            .query_with_budget(&self.query_model(bandwidth), x, order, budget)
     }
 
     /// Batched folded density queries against the frozen shards.
@@ -304,9 +300,9 @@ impl ShardedClusTreeSnapshot {
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        let model = self.query_model(bandwidth);
         self.core
-            .query_batch(&|| model.clone(), queries, order, budget)
+            .shards()
+            .query_batch(&self.query_model(bandwidth), queries, order, budget)
     }
 
     /// Anytime k-NN retrieval folded across the frozen shards (see
@@ -317,16 +313,7 @@ impl ShardedClusTreeSnapshot {
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        let started = bt_anytree::obs::boundary_timer();
-        let dims = self.core.shard(0).dims();
-        let model = self.query_model(&vec![1.0; dims]);
-        let cursors =
-            self.core
-                .refine_frontiers(&|| model.clone(), x, RefineOrder::ClosestFirst, budget);
-        crate::sharded::record_sharded_knn(&cursors, started);
-        let shards: Vec<&TreeSnapshot<MicroCluster, MicroCluster>> =
-            self.core.shards().iter().collect();
-        knn_from_cursors(&shards, &cursors, &model, k)
+        anytime_knn_over(self.core.shards(), self.config.decay_lambda, x, k, budget)
     }
 
     /// Anytime outlier scoring against the frozen shards.
@@ -342,9 +329,9 @@ impl ShardedClusTreeSnapshot {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        let model = self.query_model(bandwidth);
         self.core
-            .outlier_score(&|| model.clone(), x, threshold, budget)
+            .shards()
+            .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
     }
 }
 

@@ -19,17 +19,6 @@
 //! the scalar reference in both column precisions; the parity tests in
 //! `crates/stats/tests/block_kernels.rs` assert it with `to_bits`.
 //!
-//! **FMA variants.**  Each kernel body is additionally monomorphised with
-//! `const FMA: bool`: the `FMA = true` instantiation replaces every
-//! `a * b + c` accumulation with `mul_add` and is compiled behind
-//! `#[target_feature(enable = "avx2,fma")]`, so the contraction is a single
-//! rounding (`vfmadd*`) instead of two.  Fusion *changes* results, so the
-//! FMA path is **opt-in** ([`set_fma_enabled`] / the `BT_STATS_FMA` env
-//! var) and off by default: the default dispatch keeps the bit-exactness
-//! contract above, and the FMA variants are admitted only through the
-//! ULP-bounded parity suite in `crates/stats/tests/simd_parity.rs` (bound
-//! documented there and in `docs/PERF.md`).
-//!
 //! **Scope (measure first).**  Only the kernels where the explicit lanes
 //! demonstrably win are dispatched here: squared distances, Gaussian
 //! log-terms (plain and variance-smoothed), the three box-bound kernels and
@@ -67,70 +56,6 @@ pub fn avx2_available() -> bool {
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
-    }
-}
-
-/// Whether the FMA kernel variants *could* run on this machine: the `simd`
-/// feature is on, the target is `x86_64` and the CPU reports both AVX2 and
-/// FMA.  Detected once and cached.  Availability alone does not select the
-/// FMA path — see [`fma_active`].
-#[must_use]
-pub fn fma_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static FMA: OnceLock<bool> = OnceLock::new();
-        *FMA.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// FMA opt-in state: 0 = follow the `BT_STATS_FMA` env var, 1 = forced off,
-/// 2 = forced on.  Fused kernels change rounding, so they must never engage
-/// silently — the default (env var unset) is **off**, preserving the f64
-/// bit-exactness contract of the plain AVX2 path.
-static FMA_ENABLED: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Overrides the FMA opt-in: `Some(true)` forces the fused kernels on (when
-/// [`fma_available`]), `Some(false)` forces them off, `None` reverts to the
-/// `BT_STATS_FMA` environment variable (`1`/`true`/`on` enables).
-pub fn set_fma_enabled(on: Option<bool>) {
-    let state = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    FMA_ENABLED.store(state, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn fma_env_opt_in() -> bool {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BT_STATS_FMA")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-            .unwrap_or(false)
-    })
-}
-
-/// Whether the runtime dispatch will actually take the FMA path: the CPU
-/// supports it ([`fma_available`]) *and* it was opted in via
-/// [`set_fma_enabled`] or `BT_STATS_FMA`.
-#[must_use]
-pub fn fma_active() -> bool {
-    if !fma_available() {
-        return false;
-    }
-    match FMA_ENABLED.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => fma_env_opt_in(),
     }
 }
 
@@ -236,51 +161,6 @@ impl F64x4 {
     pub fn max(self, other: Self) -> Self {
         self.zip(other, f64::max)
     }
-
-    /// Lane-wise fused multiply-add `self * b + c` with a single rounding.
-    ///
-    /// Compiled inside an `avx2,fma` `#[target_feature]` region this lowers
-    /// to one `vfmadd` per lane; it must only appear in `FMA = true` kernel
-    /// instantiations, because the single rounding is *not* bit-identical
-    /// to `mul` + `add`.
-    #[inline(always)]
-    #[must_use]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Self([
-            self.0[0].mul_add(b.0[0], c.0[0]),
-            self.0[1].mul_add(b.0[1], c.0[1]),
-            self.0[2].mul_add(b.0[2], c.0[2]),
-            self.0[3].mul_add(b.0[3], c.0[3]),
-        ])
-    }
-}
-
-/// `a * b + c`, fused to a single rounding when `FMA` is true.
-///
-/// The kernel bodies are written once against this helper so the `FMA =
-/// false` instantiation stays expression-for-expression identical to the
-/// scalar reference (two roundings, bit-exact) while the `FMA = true`
-/// instantiation contracts to `vfmadd`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn fmadd<const FMA: bool>(a: F64x4, b: F64x4, c: F64x4) -> F64x4 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a.mul(b).add(c)
-    }
-}
-
-/// Scalar companion of [`fmadd`] for the lane tails, so a tail entry rounds
-/// the same way as its in-lane neighbours within one instantiation.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn fmadd_s<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -291,12 +171,7 @@ fn fmadd_s<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn sq_dists_body<M: ColumnElement, const FMA: bool>(
-    query: &[f64],
-    means: &[M],
-    len: usize,
-    out: &mut [f64],
-) {
+fn sq_dists_body<M: ColumnElement>(query: &[f64], means: &[M], len: usize, out: &mut [f64]) {
     let chunks = len - len % LANES;
     for (d, &q) in query.iter().enumerate() {
         let col = &means[d * len..(d + 1) * len];
@@ -304,13 +179,13 @@ fn sq_dists_body<M: ColumnElement, const FMA: bool>(
         let mut i = 0;
         while i < chunks {
             let diff = F64x4::load(&col[i..]).sub(qv);
-            let acc = fmadd::<FMA>(diff, diff, F64x4::load(&out[i..]));
+            let acc = diff.mul(diff).add(F64x4::load(&out[i..]));
             acc.store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
             let diff = col[i].widen() - q;
-            out[i] = fmadd_s::<FMA>(diff, diff, out[i]);
+            out[i] += diff * diff;
             i += 1;
         }
     }
@@ -318,7 +193,7 @@ fn sq_dists_body<M: ColumnElement, const FMA: bool>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
+fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement>(
     query: &[f64],
     bandwidth: &[f64],
     means: &[M],
@@ -341,32 +216,31 @@ fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
             let mut i = 0;
             while i < chunks {
                 let diff = qv.sub(F64x4::load(&mcol[i..]));
-                let t = fmadd::<FMA>(diff, diff, F64x4::load(&vcol[i..]));
+                let t = diff.mul(diff).add(F64x4::load(&vcol[i..]));
                 let u = t.sqrt().div(hv);
-                // -0.5 * (LN_2PI + u * u) - ln_h, same op order as scalar;
-                // FMA fuses the `u * u + LN_2PI` contraction.
-                let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+                // -0.5 * (LN_2PI + u * u) - ln_h, same op order as scalar.
+                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
                 F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
                 i += LANES;
             }
             while i < len {
                 let diff = q - mcol[i].widen();
-                let t = fmadd_s::<FMA>(diff, diff, vcol[i].widen());
+                let t = diff * diff + vcol[i].widen();
                 let u = t.sqrt() / h;
-                out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
                 i += 1;
             }
         } else {
             let mut i = 0;
             while i < chunks {
                 let u = qv.sub(F64x4::load(&mcol[i..])).div(hv);
-                let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+                let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
                 F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
                 i += LANES;
             }
             while i < len {
                 let u = (q - mcol[i].widen()) / h;
-                out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+                out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
                 i += 1;
             }
         }
@@ -375,7 +249,7 @@ fn gaussian_log_terms_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
+fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement>(
     query: &[f64],
     means: &[M],
     vars: &[V],
@@ -397,10 +271,9 @@ fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
             let var = F64x4::load(&vcol[i..]);
             let lv = F64x4::load(&lcol[i..]);
             // -0.5 * ((LN_2PI + ln(var)) + diff * diff / var), the ln
-            // precomputed at gather time, same op order as scalar; FMA
-            // fuses the `-0.5 * sum + out` accumulation.
+            // precomputed at gather time, same op order as scalar.
             let sum = ln_2pi.add(lv).add(diff.mul(diff).div(var));
-            let acc = fmadd::<FMA>(neg_half, sum, F64x4::load(&out[i..]));
+            let acc = neg_half.mul(sum).add(F64x4::load(&out[i..]));
             acc.store(&mut out[i..]);
             i += LANES;
         }
@@ -408,7 +281,7 @@ fn diag_log_pdfs_body<M: ColumnElement, V: ColumnElement, const FMA: bool>(
             let diff = q - mcol[i].widen();
             let var = vcol[i].widen();
             let sum = LN_2PI + lcol[i] + diff * diff / var;
-            out[i] = fmadd_s::<FMA>(-0.5, sum, out[i]);
+            out[i] += -0.5 * sum;
             i += 1;
         }
     }
@@ -421,7 +294,6 @@ fn box_kernel_body<
     U: ColumnElement,
     const FARTHEST: bool,
     const SMOOTHED: bool,
-    const FMA: bool,
 >(
     query: &[f64],
     bandwidth: &[f64],
@@ -457,11 +329,11 @@ fn box_kernel_body<
             };
             let u = if SMOOTHED {
                 let half = half_f.mul(hi.sub(lo));
-                fmadd::<FMA>(dist, dist, half.mul(half)).sqrt().div(hv)
+                dist.mul(dist).add(half.mul(half)).sqrt().div(hv)
             } else {
                 dist.div(hv)
             };
-            let term = neg_half.mul(fmadd::<FMA>(u, u, ln_2pi)).sub(ln_h_v);
+            let term = neg_half.mul(u.mul(u).add(ln_2pi)).sub(ln_h_v);
             F64x4::load(&out[i..]).add(term).store(&mut out[i..]);
             i += LANES;
         }
@@ -479,12 +351,12 @@ fn box_kernel_body<
             };
             let u = if SMOOTHED {
                 let half = 0.5 * (hi - lo);
-                let t = fmadd_s::<FMA>(dist, dist, half * half);
+                let t = dist * dist + half * half;
                 t.sqrt() / h
             } else {
                 dist / h
             };
-            out[i] += -0.5 * fmadd_s::<FMA>(u, u, LN_2PI) - ln_h;
+            out[i] += -0.5 * (u * u + LN_2PI) - ln_h;
             i += 1;
         }
     }
@@ -492,7 +364,7 @@ fn box_kernel_body<
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[inline(always)]
-fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
+fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement>(
     query: &[f64],
     lower: &[L],
     upper: &[U],
@@ -510,7 +382,9 @@ fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
             let lo = F64x4::load(&lcol[i..]);
             let hi = F64x4::load(&ucol[i..]);
             let diff = lo.sub(qv).max(zero).add(qv.sub(hi).max(zero));
-            fmadd::<FMA>(diff, diff, F64x4::load(&out[i..])).store(&mut out[i..]);
+            diff.mul(diff)
+                .add(F64x4::load(&out[i..]))
+                .store(&mut out[i..]);
             i += LANES;
         }
         while i < len {
@@ -523,7 +397,7 @@ fn box_min_sq_dists_body<L: ColumnElement, U: ColumnElement, const FMA: bool>(
             } else {
                 0.0
             };
-            out[i] = fmadd_s::<FMA>(diff, diff, out[i]);
+            out[i] += diff * diff;
             i += 1;
         }
     }
@@ -547,7 +421,7 @@ mod avx2 {
         len: usize,
         out: &mut [f64],
     ) {
-        sq_dists_body::<M, false>(query, means, len, out);
+        sq_dists_body::<M>(query, means, len, out);
     }
 
     /// # Safety
@@ -561,7 +435,7 @@ mod avx2 {
         len: usize,
         out: &mut [f64],
     ) {
-        gaussian_log_terms_body::<M, V, false>(query, bandwidth, means, vars, len, out);
+        gaussian_log_terms_body::<M, V>(query, bandwidth, means, vars, len, out);
     }
 
     /// # Safety
@@ -575,7 +449,7 @@ mod avx2 {
         len: usize,
         out: &mut [f64],
     ) {
-        diag_log_pdfs_body::<M, V, false>(query, means, vars, log_vars, len, out);
+        diag_log_pdfs_body::<M, V>(query, means, vars, log_vars, len, out);
     }
 
     /// # Safety
@@ -594,9 +468,7 @@ mod avx2 {
         len: usize,
         out: &mut [f64],
     ) {
-        box_kernel_body::<L, U, FARTHEST, SMOOTHED, false>(
-            query, bandwidth, lower, upper, len, out,
-        );
+        box_kernel_body::<L, U, FARTHEST, SMOOTHED>(query, bandwidth, lower, upper, len, out);
     }
 
     /// # Safety
@@ -609,87 +481,7 @@ mod avx2 {
         len: usize,
         out: &mut [f64],
     ) {
-        box_min_sq_dists_body::<L, U, false>(query, lower, upper, len, out);
-    }
-}
-
-// Fused variants: the same bodies with `FMA = true`, compiled in an
-// `avx2,fma` codegen region so every `fmadd` lowers to `vfmadd*`.  Reached
-// only when [`fma_active`] — never by default.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod fma {
-    use super::*;
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq_dists<M: ColumnElement>(
-        query: &[f64],
-        means: &[M],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        sq_dists_body::<M, true>(query, means, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
-        query: &[f64],
-        bandwidth: &[f64],
-        means: &[M],
-        vars: Option<&[V]>,
-        len: usize,
-        out: &mut [f64],
-    ) {
-        gaussian_log_terms_body::<M, V, true>(query, bandwidth, means, vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
-        query: &[f64],
-        means: &[M],
-        vars: &[V],
-        log_vars: &[f64],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        diag_log_pdfs_body::<M, V, true>(query, means, vars, log_vars, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn box_kernel<
-        L: ColumnElement,
-        U: ColumnElement,
-        const FARTHEST: bool,
-        const SMOOTHED: bool,
-    >(
-        query: &[f64],
-        bandwidth: &[f64],
-        lower: &[L],
-        upper: &[U],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_kernel_body::<L, U, FARTHEST, SMOOTHED, true>(query, bandwidth, lower, upper, len, out);
-    }
-
-    /// # Safety
-    /// The executing CPU must support AVX2 and FMA (`fma_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
-        query: &[f64],
-        lower: &[L],
-        upper: &[U],
-        len: usize,
-        out: &mut [f64],
-    ) {
-        box_min_sq_dists_body::<L, U, true>(query, lower, upper, len, out);
+        box_min_sq_dists_body::<L, U>(query, lower, upper, len, out);
     }
 }
 
@@ -704,11 +496,6 @@ pub(crate) fn sq_dists<M: ColumnElement>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::sq_dists(query, means, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::sq_dists(query, means, len, out) };
@@ -731,11 +518,6 @@ pub(crate) fn gaussian_log_terms<M: ColumnElement, V: ColumnElement>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::gaussian_log_terms(query, bandwidth, means, vars, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::gaussian_log_terms(query, bandwidth, means, vars, len, out) };
@@ -759,11 +541,6 @@ pub(crate) fn diag_log_pdfs<M: ColumnElement, V: ColumnElement>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::diag_log_pdfs(query, means, vars, log_vars, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::diag_log_pdfs(query, means, vars, log_vars, len, out) };
@@ -791,15 +568,6 @@ pub(crate) fn box_kernel<
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe {
-                fma::box_kernel::<L, U, FARTHEST, SMOOTHED>(
-                    query, bandwidth, lower, upper, len, out,
-                );
-            }
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe {
@@ -826,11 +594,6 @@ pub(crate) fn box_min_sq_dists<L: ColumnElement, U: ColumnElement>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if fma_active() {
-            // SAFETY: AVX2+FMA support was just verified.
-            unsafe { fma::box_min_sq_dists(query, lower, upper, len, out) };
-            return true;
-        }
         if avx2_available() {
             // SAFETY: AVX2 support was just verified.
             unsafe { avx2::box_min_sq_dists(query, lower, upper, len, out) };

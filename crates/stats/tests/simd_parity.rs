@@ -15,62 +15,6 @@ use bt_stats::kernel::{
     smoothed_farthest_log_kernels_block, sq_dists_block,
 };
 use bt_stats::{Columns, LN_2PI, VARIANCE_FLOOR};
-use std::sync::{Mutex, MutexGuard};
-
-/// The FMA opt-in flag is process-global, so every test that dispatches a
-/// kernel pins the state it needs under this lock (tests run concurrently).
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-struct DispatchGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for DispatchGuard {
-    fn drop(&mut self) {
-        // Revert to the env-var default so the binary's final state matches
-        // how it was launched.
-        bt_stats::simd::set_fma_enabled(None);
-    }
-}
-
-fn pin_fma(on: bool) -> DispatchGuard {
-    let guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    bt_stats::simd::set_fma_enabled(Some(on));
-    DispatchGuard(guard)
-}
-
-/// Admission bound for the fused kernels, in ULPs of the final accumulated
-/// value: fusing `a * b + c` to one rounding moves each per-dimension term
-/// by at most 1 ULP of the term, so a `dims`-term accumulation (dims ≤ 6
-/// here) stays within single-digit ULPs of the unfused reference — observed
-/// ≤ 4 on AVX2/FMA hardware with these deterministic cases.  The bound is
-/// set at 64 (2^6) to absorb accumulation-order slack with margin while
-/// still rejecting algebraic mistakes, which diverge by thousands of ULPs.
-/// `docs/PERF.md` records the rationale.
-const FMA_MAX_ULPS: u64 = 64;
-
-/// ULP distance via the usual monotonic bit mapping (sign-magnitude to
-/// biased), so the distance across ±0.0 is 1.
-fn ulps_between(a: f64, b: f64) -> u64 {
-    fn monotonic(x: f64) -> u64 {
-        let bits = x.to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
-        }
-    }
-    monotonic(a).abs_diff(monotonic(b))
-}
-
-fn assert_ulps_within(got: &[f64], want: &[f64], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let ulps = ulps_between(*g, *w);
-        assert!(
-            ulps <= FMA_MAX_ULPS,
-            "{what}: entry {i} off by {ulps} ULPs ({g} vs {w})"
-        );
-    }
-}
 
 /// Deterministic value generator (SplitMix64 over the unit interval).
 struct SplitMix(u64);
@@ -172,7 +116,6 @@ const LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 65];
 
 #[test]
 fn sq_dists_block_matches_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(5, len, 0x51ED * (len as u64 + 1));
         let mut out = Vec::new();
@@ -193,7 +136,6 @@ fn sq_dists_block_matches_scalar_bitwise() {
 
 #[test]
 fn gaussian_log_terms_block_matches_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(6, len, 0xBEEF + len as u64);
         for with_vars in [false, true] {
@@ -226,7 +168,6 @@ fn diag_log_pdfs_block_matches_scalar_bitwise() {
     // The SIMD diag path only exists for gathers that precomputed their
     // log-variance column; substituting the stored `ln` must not move a bit
     // against the inline-`ln` scalar reference.
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(5, len, 0xD1A6 + ((len as u64) << 2));
         // Floor the variances like a real gather would (DiagGaussian's
@@ -266,7 +207,6 @@ fn diag_log_pdfs_block_matches_scalar_bitwise() {
 
 #[test]
 fn box_kernels_match_scalar_bitwise() {
-    let _fma = pin_fma(false);
     for &len in LENS {
         let c = case(4, len, 0xB0CE5 ^ (len as u64) << 3);
         let mut near = Vec::new();
@@ -318,187 +258,11 @@ fn box_kernels_match_scalar_bitwise() {
 #[test]
 fn dispatch_reports_consistent_availability() {
     let available = bt_stats::simd::avx2_available();
-    let fma = bt_stats::simd::fma_available();
     if cfg!(not(all(feature = "simd", target_arch = "x86_64"))) {
         assert!(!available, "SIMD must be off without the feature/arch");
-        assert!(!fma, "FMA must be off without the feature/arch");
     }
-    // Either way the answer must be stable across calls (cached detection),
-    // and FMA availability implies AVX2 availability (the fused wrappers
-    // enable both features).
+    // Either way the answer must be stable across calls (cached detection).
     assert_eq!(available, bt_stats::simd::avx2_available());
-    assert_eq!(fma, bt_stats::simd::fma_available());
-    assert!(!fma || available, "fma_available must imply avx2_available");
-}
-
-#[test]
-fn fma_opt_in_state_is_explicit() {
-    let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let available = bt_stats::simd::fma_available();
-    bt_stats::simd::set_fma_enabled(Some(false));
-    assert!(!bt_stats::simd::fma_active(), "forced off must stay off");
-    bt_stats::simd::set_fma_enabled(Some(true));
-    assert_eq!(
-        bt_stats::simd::fma_active(),
-        available,
-        "forced on engages exactly when the CPU supports it"
-    );
-    bt_stats::simd::set_fma_enabled(None);
-    let env_on = std::env::var("BT_STATS_FMA")
-        .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-        .unwrap_or(false);
-    assert_eq!(
-        bt_stats::simd::fma_active(),
-        available && env_on,
-        "env default must follow BT_STATS_FMA"
-    );
-}
-
-#[test]
-fn fma_kernels_match_scalar_within_ulp_bound() {
-    // The admission gate for the fused variants: with FMA dispatch forced
-    // on, every kernel must stay within FMA_MAX_ULPS of the scalar
-    // reference on the same lane-exercising cases the bitwise tests use.
-    // On hosts without FMA the dispatch falls back to AVX2/scalar and the
-    // bound holds trivially (distance 0) — so the test is meaningful
-    // everywhere and strict where it matters.
-    let _fma = pin_fma(true);
-    for &len in LENS {
-        let c = case(5, len, 0xF0A + ((len as u64) << 4));
-        let mut sq = Vec::new();
-        sq_dists_block(&c.query, &c.means, c.len, &mut sq);
-        let want_sq: Vec<f64> = (0..len)
-            .map(|i| {
-                let mut acc = 0.0;
-                for (d, &q) in c.query.iter().enumerate() {
-                    let diff = c.means.get(d * len + i) - q;
-                    acc += diff * diff;
-                }
-                acc
-            })
-            .collect();
-        assert_ulps_within(&sq, &want_sq, "fma sq_dists");
-
-        for with_vars in [false, true] {
-            let mut out = Vec::new();
-            let vars = with_vars.then_some(&c.vars);
-            gaussian_log_terms_block(&c.query, &c.bandwidth, &c.means, vars, c.len, &mut out);
-            let want: Vec<f64> = (0..len)
-                .map(|i| {
-                    let mut acc = 0.0;
-                    for (d, &q) in c.query.iter().enumerate() {
-                        let m = c.means.get(d * len + i);
-                        let dist = if with_vars {
-                            let diff = q - m;
-                            (diff * diff + c.vars.get(d * len + i)).sqrt()
-                        } else {
-                            q - m
-                        };
-                        acc += gaussian_log_term(dist, c.bandwidth[d]);
-                    }
-                    acc
-                })
-                .collect();
-            assert_ulps_within(&out, &want, "fma gaussian_log_terms");
-        }
-
-        let mut vars = Columns::F64(Vec::new());
-        vars.reset(5 * len);
-        for idx in 0..5 * len {
-            vars.set(idx, c.vars.get(idx).max(VARIANCE_FLOOR));
-        }
-        let log_vars: Vec<f64> = (0..5 * len).map(|idx| vars.get(idx).ln()).collect();
-        let mut diag = Vec::new();
-        diag_log_pdfs_block(&c.query, &c.means, &vars, Some(&log_vars), len, &mut diag);
-        let want_diag: Vec<f64> = (0..len)
-            .map(|i| {
-                let mut acc = 0.0;
-                for (d, &q) in c.query.iter().enumerate() {
-                    let diff = q - c.means.get(d * len + i);
-                    let var = vars.get(d * len + i);
-                    acc += -0.5 * (LN_2PI + var.ln() + diff * diff / var);
-                }
-                acc
-            })
-            .collect();
-        assert_ulps_within(&diag, &want_diag, "fma diag_log_pdfs");
-
-        let mut near = Vec::new();
-        let mut far = Vec::new();
-        let mut smooth = Vec::new();
-        let mut dist_sq = Vec::new();
-        nearest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut near);
-        farthest_point_log_kernels_block(&c.query, &c.bandwidth, &c.lower, &c.upper, len, &mut far);
-        smoothed_farthest_log_kernels_block(
-            &c.query,
-            &c.bandwidth,
-            &c.lower,
-            &c.upper,
-            len,
-            &mut smooth,
-        );
-        box_min_sq_dists_block(&c.query, &c.lower, &c.upper, len, &mut dist_sq);
-        let mut want_near = vec![0.0; len];
-        let mut want_far = vec![0.0; len];
-        let mut want_smooth = vec![0.0; len];
-        let mut want_dist = vec![0.0; len];
-        for (d, &q) in c.query.iter().enumerate() {
-            for i in 0..len {
-                let lo = c.lower.get(d * len + i);
-                let hi = c.upper.get(d * len + i);
-                let clamp = if q < lo {
-                    lo - q
-                } else if q > hi {
-                    q - hi
-                } else {
-                    0.0
-                };
-                let farthest = (q - lo).abs().max((q - hi).abs());
-                let half = 0.5 * (hi - lo);
-                let t = farthest * farthest + half * half;
-                want_near[i] += gaussian_log_term(clamp, c.bandwidth[d]);
-                want_far[i] += gaussian_log_term(farthest, c.bandwidth[d]);
-                want_smooth[i] += gaussian_log_term(t.sqrt(), c.bandwidth[d]);
-                want_dist[i] += clamp * clamp;
-            }
-        }
-        assert_ulps_within(&near, &want_near, "fma nearest");
-        assert_ulps_within(&far, &want_far, "fma farthest");
-        assert_ulps_within(&smooth, &want_smooth, "fma smoothed_farthest");
-        assert_ulps_within(&dist_sq, &want_dist, "fma box_min_sq_dists");
-    }
-}
-
-#[test]
-fn fma_dispatch_really_takes_the_fused_path() {
-    // When the fused path is active it must actually fuse: on a 64-entry,
-    // 5-dim case at least one accumulated squared distance rounds
-    // differently than the two-rounding reference.  (Deterministic inputs,
-    // so this is a stable property, not a probabilistic one.)  Skipped on
-    // hosts without FMA, where the dispatch legitimately falls back.
-    let _fma = pin_fma(true);
-    if !bt_stats::simd::fma_active() {
-        return;
-    }
-    let len = 64;
-    let c = case(5, len, 0xF05ED);
-    let mut out = Vec::new();
-    sq_dists_block(&c.query, &c.means, c.len, &mut out);
-    let want: Vec<f64> = (0..len)
-        .map(|i| {
-            let mut acc = 0.0;
-            for (d, &q) in c.query.iter().enumerate() {
-                let diff = c.means.get(d * len + i) - q;
-                acc += diff * diff;
-            }
-            acc
-        })
-        .collect();
-    let diverged = out
-        .iter()
-        .zip(&want)
-        .any(|(g, w)| g.to_bits() != w.to_bits());
-    assert!(diverged, "forced-on FMA produced bitwise-unfused results");
 }
 
 #[test]
@@ -506,7 +270,6 @@ fn f32_columns_stay_close_through_the_simd_path() {
     // In f32 mode only the stored operands are quantised; the SIMD path
     // must widen exactly like the scalar path, so the result must equal the
     // scalar recomputation on the *quantised* values bit for bit.
-    let _fma = pin_fma(false);
     let len = 13;
     let c = case(3, len, 0xF32F32);
     let mut means32 = Columns::F32(Vec::new());

@@ -73,8 +73,10 @@
 //!   `[lower, upper]` bounds that can only tighten with budget — the
 //!   monotone anytime contract, property-tested for both trees.
 //!   Insert-free workloads plug in with just a `Summary` + `QueryModel`:
-//!   anytime **outlier scoring** ([`anytree::AnytimeTree::outlier_score`])
-//!   refines the density interval until a threshold verdict is certain.
+//!   anytime **outlier scoring** ([`anytree::ShardSet::outlier_score`])
+//!   refines the density interval one node read at a time until a
+//!   threshold verdict is certain or the budget of total node reads is
+//!   spent.
 //!   On top of the engines sits the
 //!   **sharding layer** ([`anytree::shard`]): a
 //!   [`anytree::ShardedAnytimeTree`] partitions the object space into `K`
@@ -87,11 +89,14 @@
 //!   cursor per shard as the concurrency unit, each shard's `finish_batch`
 //!   its single synchronisation point), and merges the per-shard reports
 //!   ([`anytree::DepthHistogram::merge`], [`anytree::DescentStats::merge`]).
-//!   The query path is sharded the same way: per-shard frontiers refine
-//!   concurrently ([`anytree::ShardedAnytimeTree::query_batch`], one worker
-//!   per shard over the whole batch) and fold into one global mixture
-//!   answer ([`anytree::ShardedQueryAnswer`]) whose bounds inherit each
-//!   shard's monotonicity; per-shard object counts
+//!   The query path is sharded the same way and exists once: every
+//!   multi-view read goes through [`anytree::ShardSet`], implemented for a
+//!   slice of tree views, so live shards, snapshot shards and a plain tree
+//!   (the one-shard slice) share it.  Density queries refine per-shard
+//!   frontiers concurrently ([`anytree::ShardSet::query_batch`], one
+//!   worker per shard over the whole batch) and fold into one global
+//!   mixture answer ([`anytree::ShardedQueryAnswer`]) whose bounds inherit
+//!   each shard's monotonicity; per-shard object counts
 //!   ([`anytree::ShardedAnytimeTree::shard_sizes`]) make router skew
 //!   observable ahead of the planned work-stealing layer.  The core is
 //!   `Send`/`Sync`-clean by construction — static assertions in
@@ -161,14 +166,12 @@
 //!   `f64` in every mode, and the page-size fanout derivation
 //!   (`index::PageGeometry::from_page_size_for_scalar`) converts the
 //!   narrower entries into ~2× fanout per fixed-size page — the capacity
-//!   effect `BENCH_8.json` measures.  The batch kernels gain
-//!   runtime-dispatched **FMA** variants admitted only by a ULP-bounded
-//!   parity suite (`bt_stats::simd`, forced on/off via `BT_STATS_FMA`),
-//!   and descent/refinement issue **software prefetches** for the next
-//!   frontier candidate's page slot (counted in `QueryStats::prefetches` /
-//!   `DescentStats::prefetches` and surfaced by the `eval` report tables).
-//!   `docs/PERF.md` tabulates the measured BENCH_6→7→8→9 trajectory and
-//!   records the precision contract and the FMA ULP-gate rationale.
+//!   effect `BENCH_8.json` measures.  Descent and refinement issue
+//!   **software prefetches** for the next frontier candidate's page slot
+//!   (counted in `QueryStats::prefetches` / `DescentStats::prefetches` and
+//!   surfaced by the `eval` report tables).  `docs/PERF.md` tabulates the
+//!   measured BENCH_6→7→8→9 trajectory and records the precision
+//!   contract.
 //!
 //!   **The observability boundary.**  Every layer reports into one
 //!   process-global [`obs`] registry without ever putting an atomic on a

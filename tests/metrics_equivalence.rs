@@ -87,10 +87,10 @@ struct Workload {
 
 impl Workload {
     /// Returns the registry deltas of the two phases separately: the
-    /// insert + batched-density phase (step-equivalent between plain and
-    /// one-shard, so every counter is comparable) and the outlier phase
-    /// (the sharded loop refines in doubling rounds, so only the verdict
-    /// counters are comparable there).
+    /// insert + batched-density phase and the outlier phase.  Both are
+    /// step-equivalent between plain and one-shard (the outlier phase runs
+    /// the one outlier loop on a one-shard slice either way), so every
+    /// counter and histogram is comparable in each.
     fn run_plain(&self) -> (Snapshot, Snapshot) {
         let capture = RegistryCapture::begin();
         let mut tree: BayesTree = BayesTree::new(3, geometry());
@@ -125,7 +125,8 @@ proptest! {
 
     /// One-shard sharding is metric-invisible: every tree counter delta —
     /// insert, query and verdict side — matches the plain tree's exactly,
-    /// and so do the refinement histogram totals.
+    /// and so do the refinement histogram totals, in the density phase and
+    /// in the outlier phase alike.
     #[test]
     fn one_shard_records_the_plain_trees_deltas(
         points in stream_strategy(100),
@@ -140,27 +141,25 @@ proptest! {
         };
         let (plain, plain_outlier) = workload.run_plain();
         let (sharded, sharded_outlier) = workload.run_one_shard();
-        prop_assert_eq!(
-            counter_values(&plain, TREE_COUNTERS),
-            counter_values(&sharded, TREE_COUNTERS)
-        );
-        for hist in ["bt_query_bound_width", "bt_refine_budget_spent"] {
-            let (plain_count, plain_sum) = plain.histogram_totals(hist);
-            let (sharded_count, sharded_sum) = sharded.histogram_totals(hist);
-            prop_assert_eq!(plain_count, sharded_count, "{} counts", hist);
-            prop_assert!(
-                (plain_sum - sharded_sum).abs() <= 1e-9 * (1.0 + plain_sum.abs()),
-                "{} sums: plain {} vs one-shard {}", hist, plain_sum, sharded_sum
-            );
-        }
-        // The outlier loops spend budget differently (per-read vs
-        // doubling rounds) but must agree on what they certified.
-        for name in ["bt_queries_total", "bt_queries_certified_total", "bt_queries_uncertain_total"] {
+        for (phase, plain, sharded) in [
+            ("density", &plain, &sharded),
+            ("outlier", &plain_outlier, &sharded_outlier),
+        ] {
             prop_assert_eq!(
-                plain_outlier.counter(name),
-                sharded_outlier.counter(name),
-                "{}", name
+                counter_values(plain, TREE_COUNTERS),
+                counter_values(sharded, TREE_COUNTERS),
+                "{} phase", phase
             );
+            for hist in ["bt_query_bound_width", "bt_refine_budget_spent", "bt_refine_bound_width"] {
+                let (plain_count, plain_sum) = plain.histogram_totals(hist);
+                let (sharded_count, sharded_sum) = sharded.histogram_totals(hist);
+                prop_assert_eq!(plain_count, sharded_count, "{} phase: {} counts", phase, hist);
+                prop_assert!(
+                    (plain_sum - sharded_sum).abs() <= 1e-9 * (1.0 + plain_sum.abs()),
+                    "{} phase: {} sums: plain {} vs one-shard {}",
+                    phase, hist, plain_sum, sharded_sum
+                );
+            }
         }
     }
 
