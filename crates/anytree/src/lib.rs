@@ -81,16 +81,18 @@
 //!   per-shard reports merged via [`DepthHistogram::merge`] and
 //!   [`DescentStats::merge`], and runs the query engine the same way:
 //!   per-shard frontiers refined concurrently and folded into one global
-//!   mixture whose bounds inherit each shard's monotonicity.  Every
-//!   multi-view read goes through [`ShardSet`], implemented once for a
-//!   slice of views, so live shards, snapshot shards and a plain tree
-//!   (the one-shard slice) share one read path and one outlier loop,
-//!   whose budget caps the total node reads.  On top sits
-//!   the **pipelined mode** ([`ShardedAnytimeTree::pipelined_batch`]):
-//!   writer threads drain a mini-batch per shard while reader threads
-//!   refine query frontiers against the pre-batch
-//!   [`ShardedTreeSnapshot`] — property-tested to return exactly the
-//!   pre-batch answers.  The core carries no lock on any hot path, so
+//!   mixture whose bounds inherit each shard's monotonicity.  [`ShardSet`]
+//!   is the only query entry point: implemented once for a slice of
+//!   views, it serves live shards, snapshot shards and a plain tree or
+//!   snapshot (the one-shard slice) through one density path, one batched
+//!   path and one outlier loop, whose budget caps the total node reads.
+//!   There is one snapshot type, [`TreeSnapshot`]: a sharded tree's
+//!   [`ShardedAnytimeTree::snapshot`] is a `Vec` of them, one per shard.
+//!   On top sits the **pipelined mode**
+//!   ([`ShardedAnytimeTree::pipelined_batch`]): writer threads drain a
+//!   mini-batch per shard while reader threads refine query frontiers
+//!   against the pre-batch shard snapshots — property-tested to return
+//!   exactly the pre-batch answers.  The core carries no lock on any hot path, so
 //!   `AnytimeTree<S, L>: Send + Sync` whenever the payloads are,
 //! * the **observability boundary** ([`obs`]): every batch, query and
 //!   snapshot refresh folds its [`DescentStats`] / [`QueryStats`] /
@@ -139,7 +141,7 @@ pub use query::{
 };
 pub use shard::{
     CheapestRouter, FixedPartitionRouter, PipelinedOutcome, ShardRouter, ShardSet,
-    ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer, ShardedTreeSnapshot,
+    ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer,
 };
 pub use snapshot::TreeSnapshot;
 pub use split::{distribute, merge_closest_pair, polar_partition};

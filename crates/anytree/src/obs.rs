@@ -97,8 +97,8 @@ pub(crate) fn record_query_answer(answer: &QueryAnswer, started: Option<Instant>
 /// query boundary: the cursor's [`QueryStats`] delta plus the loop's
 /// wall-clock latency.
 ///
-/// The engine's own one-shot helpers (`query_with_budget`, `query_batch`,
-/// `outlier_score`) record themselves; downstream crates that drive
+/// The engine's own read paths (`ShardSet::query_with_budget`,
+/// `query_batch` and `outlier_score`) record themselves; downstream crates that drive
 /// cursors directly through `new_query` + `refine_query` — the k-NN
 /// retrieval in `clustree` does — call this when their loop finishes,
 /// pairing it with [`boundary_timer`] at the start.
@@ -112,18 +112,18 @@ pub fn record_external_query(delta: &QueryStats, started: Option<Instant>) {
     }
 }
 
-/// Per-batch recorder for [`TreeView::query_batch`]'s per-answer
-/// observations: buffers latency / bound-width / budget histograms in a
-/// [`MetricsHandle`] and merges them (plus the cursor's [`QueryStats`]
-/// delta) into the registry with one atomic op per metric when the batch
-/// finishes.  Costs nothing but the enabled check when recording is off.
+/// Per-batch recorder for [`ShardSet::query_batch`]'s per-answer
+/// observations, one per folded answer whatever the shard count: buffers
+/// latency / bound-width / budget histograms in a [`MetricsHandle`] and
+/// merges them (plus the shards' merged [`QueryStats`] delta) into the
+/// registry with one atomic op per metric when the batch finishes.  Costs nothing but the enabled check when recording is off.
 ///
 /// Latency is clocked **once per batch**, not per answer: clock reads can
 /// cost microseconds under virtualised timers, so each answered query is
 /// recorded at the batch's mean — the histogram's count and sum stay
 /// exact while the batched hot loop never touches the clock.
 ///
-/// [`TreeView::query_batch`]: crate::TreeView::query_batch
+/// [`ShardSet::query_batch`]: crate::ShardSet::query_batch
 pub(crate) struct QueryBatchRecorder(Option<RecorderInner>);
 
 struct RecorderInner {

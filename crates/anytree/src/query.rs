@@ -25,8 +25,9 @@
 //! * [`QueryStats`] counts the engine's work (queries begun, node reads,
 //!   elements scored) alongside the insertion path's
 //!   [`DescentStats`](crate::DescentStats),
-//! * [`TreeView::query_batch`] refines many queries through **one reused
-//!   cursor** — the frontier allocation is per-tree scratch, not per-query.
+//! * [`ShardSet::query_batch`](crate::ShardSet::query_batch) refines many
+//!   queries through **one reused cursor per shard** — the frontier
+//!   allocation is per-shard scratch, not per-query.
 //!
 //! ## The monotonicity contract
 //!
@@ -804,7 +805,7 @@ impl QueryCursor {
     /// The child node the next refinement in `order` would read, if any —
     /// the prefetch target of [`TreeView::refine_query`].  Peeking reuses
     /// (and warms) the selection heap, so it does not disturb the order and
-    /// the following [`select`](Self::select) call finds its work done.
+    /// the following selection finds its work done.
     pub fn next_refinable_child(&mut self, order: RefineOrder) -> Option<NodeId> {
         let idx = self.select(order)?;
         self.elements[idx].child
@@ -1037,12 +1038,13 @@ impl QueryCursor {
 /// zero-copy view of the current epoch, used when no batch is in flight)
 /// and the **pinned snapshot** ([`crate::TreeSnapshot`] — an owned,
 /// `Send + Sync`, point-in-time view that stays bit-stable while later
-/// batches mutate the tree).  Every single-view query-engine entry point
+/// batches mutate the tree).  The cursor primitives
 /// ([`TreeView::begin_query`], [`TreeView::refine_query`],
-/// [`TreeView::query_batch`], …) is a provided method of this trait, so
-/// both views answer queries through literally the same code; reads that
-/// span shards — outlier scoring among them — run on slices of views
-/// through [`ShardSet`](crate::ShardSet).
+/// [`TreeView::refine_query_up_to`]) are provided methods of this trait,
+/// so both views refine through literally the same code; every answered
+/// read — one-shot, batched or outlier scoring — runs on a slice of views
+/// through [`ShardSet`](crate::ShardSet), a single view being the
+/// one-shard slice.
 pub trait TreeView<S: Summary, L> {
     /// Dimensionality of the indexed data.
     fn dims(&self) -> usize;
@@ -1209,65 +1211,6 @@ pub trait TreeView<S: Summary, L> {
             done += 1;
         }
         done
-    }
-
-    /// One-shot query: starts a cursor, refines up to `budget` node reads
-    /// and returns the answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    fn query_with_budget<M>(
-        &self,
-        model: &M,
-        query: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> QueryAnswer
-    where
-        M: QueryModel<S, LeafItem = L>,
-    {
-        let started = crate::obs::boundary_timer();
-        let mut cursor = self.new_query(model, query);
-        self.refine_query_up_to(model, order, budget, &mut cursor);
-        let answer = cursor.answer();
-        crate::obs::record_query_answer(&answer, started);
-        crate::obs::record_query_stats(cursor.stats());
-        answer
-    }
-
-    /// Refines a batch of queries through **one reused cursor** (the
-    /// frontier allocation is shared scratch), each up to `budget` node
-    /// reads, and returns the per-query answers plus the batch's merged
-    /// work counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    fn query_batch<M>(
-        &self,
-        model: &M,
-        queries: &[Vec<f64>],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats)
-    where
-        M: QueryModel<S, LeafItem = L>,
-    {
-        let mut recorder = crate::obs::QueryBatchRecorder::new();
-        let mut cursor = QueryCursor::new();
-        let mut answers = Vec::with_capacity(queries.len());
-        for query in queries {
-            self.begin_query(model, query, &mut cursor);
-            self.refine_query_up_to(model, order, budget, &mut cursor);
-            let answer = cursor.answer();
-            recorder.record(&answer);
-            answers.push(answer);
-        }
-        recorder.finish(cursor.stats());
-        (answers, *cursor.stats())
     }
 }
 
@@ -1524,10 +1467,15 @@ mod tests {
 
     #[test]
     fn query_batch_reuses_one_cursor_and_counts_work() {
+        use crate::ShardSet;
         let tree = sample_tree(100, usize::MAX);
         let queries = vec![vec![0.0, 0.0], vec![20.0, 20.0], vec![10.0, 10.0]];
-        let (answers, stats) =
-            tree.query_batch(&BlobQueryModel, &queries, RefineOrder::BestFirst, 4);
+        let (answers, stats) = std::slice::from_ref(&tree).query_batch(
+            &BlobQueryModel,
+            &queries,
+            RefineOrder::BestFirst,
+            4,
+        );
         assert_eq!(answers.len(), 3);
         assert_eq!(stats.queries, 3);
         assert_eq!(
@@ -1541,8 +1489,9 @@ mod tests {
 
     #[test]
     fn refinement_prefetches_the_next_candidate() {
+        use crate::ShardSet;
         let tree = sample_tree(100, usize::MAX);
-        let (_, stats) = tree.query_batch(
+        let (_, stats) = std::slice::from_ref(&tree).query_batch(
             &BlobQueryModel,
             &[vec![0.0, 0.0], vec![20.0, 20.0]],
             RefineOrder::BestFirst,

@@ -34,15 +34,15 @@
 //! parallel; outlier scoring is one sequential widest-bound-first loop
 //! over the shard cursors whose budget caps the *total* node reads.
 //!
-//! The layer also runs **pipelined**: [`ShardedAnytimeTree::snapshot`]
-//! pins every shard's published epoch into one `Send + Sync`
-//! [`ShardedTreeSnapshot`], and [`ShardedAnytimeTree::pipelined_batch`]
-//! drains a mini-batch through the per-shard writers *while* readers
-//! refine a query batch against that pre-batch snapshot — reads and writes
-//! overlap on the same index without locks, and the readers' answers are
-//! exactly the pre-batch answers (`tests/snapshot_isolation.rs`).
+//! [`ShardedAnytimeTree::snapshot`] pins every shard's published epoch
+//! into a `Vec` of `Send + Sync` [`TreeSnapshot`]s, which is itself a
+//! shard set.  The layer also runs
+//! **pipelined**: [`ShardedAnytimeTree::pipelined_batch`] drains a
+//! mini-batch through the per-shard writers *while* readers refine a query
+//! batch against that pre-batch snapshot — reads and writes overlap on the
+//! same index without locks, and the readers' answers are exactly the
+//! pre-batch answers (`tests/snapshot_isolation.rs`).
 
-use crate::arena::SnapshotRefresh;
 use crate::descent::{BatchOutcome, DepthHistogram, DescentStats};
 use crate::model::InsertModel;
 use crate::query::{
@@ -242,19 +242,6 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
         &self.shards
     }
 
-    /// Read access to one shard tree.
-    #[must_use]
-    pub fn shard(&self, k: usize) -> &AnytimeTree<S, L> {
-        &self.shards[k]
-    }
-
-    /// The routing aggregates: everything ever routed to each shard, merged
-    /// (`None` for still-empty shards).  Routing state, not refreshed.
-    #[must_use]
-    pub fn aggregates(&self) -> &[Option<S>] {
-        &self.aggregates
-    }
-
     /// Objects routed to each shard so far — the direct skew measure for the
     /// configured [`ShardRouter`] (a future work-stealing layer rebalances
     /// exactly this).
@@ -263,7 +250,7 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     /// pipelined batch ([`Self::pipelined_batch`]) the whole batch is routed
     /// before the per-shard writers drain it, so `shard_sizes` already
     /// includes the in-flight batch while each shard's published epoch — and
-    /// any [`ShardedTreeSnapshot`] pinned before the batch — still reflects
+    /// any [`Self::snapshot`] pinned before the batch — still reflects
     /// the pre-batch state.  The counts and the snapshot agree again as soon
     /// as every shard's `finish_batch` has published.
     #[must_use]
@@ -272,19 +259,17 @@ impl<S: Summary, L, R> ShardedAnytimeTree<S, L, R> {
     }
 
     /// Takes a cheap, immutable snapshot of **every shard** at its current
-    /// published epoch (one [`TreeSnapshot`] per shard, each pinning its
-    /// shard's epoch registry).
+    /// published epoch: one [`TreeSnapshot`] per shard, each pinning its
+    /// shard's epoch registry.
     ///
-    /// Its [`ShardedTreeSnapshot::shards`] answer the full [`ShardSet`]
-    /// read surface bit-identically to querying this tree's
-    /// [`Self::shards`] at snapshot time, and it is `Send + Sync`, so reader
-    /// threads can refine against it while writers drain later batches into
-    /// the live shards — the pipelined mode below does exactly that.
+    /// The returned shards answer the full [`ShardSet`] read surface
+    /// bit-identically to querying this tree's [`Self::shards`] at snapshot
+    /// time, and they are `Send + Sync`, so reader threads can refine
+    /// against them while writers drain later batches into the live shards
+    /// — the pipelined mode below does exactly that.
     #[must_use]
-    pub fn snapshot(&self) -> ShardedTreeSnapshot<S, L> {
-        ShardedTreeSnapshot {
-            shards: self.shards.iter().map(AnytimeTree::snapshot).collect(),
-        }
+    pub fn snapshot(&self) -> Vec<TreeSnapshot<S, L>> {
+        self.shards.iter().map(AnytimeTree::snapshot).collect()
     }
 
     /// Total number of reachable nodes across all shards.
@@ -464,7 +449,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
     /// pre-batch snapshot — inserts and queries overlap on the same index
     /// without locks.
     ///
-    /// Concretely: the coordinator pins a [`ShardedTreeSnapshot`] (the
+    /// Concretely: the coordinator pins a [`Self::snapshot`] (the
     /// pre-batch epochs), routes the whole batch, then a scoped writer
     /// thread drains every busy shard's share (exactly
     /// [`Self::insert_batch`]) while the calling thread answers the query
@@ -507,9 +492,7 @@ impl<S: Summary, L, R: ShardRouter<S>> ShardedAnytimeTree<S, L, R> {
             let writer = scope.spawn(|| {
                 self.descend_routed(make_model, per_shard_objs, per_shard_idx, total, budget)
             });
-            let read = snapshot
-                .shards()
-                .query_batch(query_model, queries, order, query_budget);
+            let read = snapshot.query_batch(query_model, queries, order, query_budget);
             (writer.join().expect("writer thread completed"), read)
         });
         PipelinedOutcome {
@@ -647,11 +630,12 @@ fn widest_shard(cursors: &mut [QueryCursor]) -> Option<usize> {
 ///
 /// Implemented once for any slice of [`TreeView`]s, so the live shards
 /// ([`ShardedAnytimeTree::shards`]), the pinned snapshot shards
-/// ([`ShardedTreeSnapshot::shards`]) and a plain tree or snapshot (the
+/// ([`ShardedAnytimeTree::snapshot`]) and a plain tree or snapshot (the
 /// one-shard case, `std::slice::from_ref(&tree)`) all answer through
-/// literally the same code.  The model must use the *global* normaliser
-/// (e.g. the total object count across shards) so per-shard partial
-/// answers fold by summation.
+/// literally the same code.  It is the only query entry point: a single
+/// view has no read methods of its own beyond the cursor primitives.  The
+/// model must use the *global* normaliser (e.g. the total object count
+/// across shards) so per-shard partial answers fold by summation.
 pub trait ShardSet<S: Summary, L> {
     /// Begins `query` on every shard and refines each shard's frontier up
     /// to `budget` node reads **in parallel** (one scoped thread per
@@ -694,7 +678,8 @@ pub trait ShardSet<S: Summary, L> {
     /// batch** through one reused cursor (in parallel, like
     /// [`Self::refine_frontiers`]), then the per-shard partials are folded
     /// per query.  Returns the per-query global answers plus the merged
-    /// [`QueryStats`].
+    /// [`QueryStats`].  The query histograms get one observation per
+    /// folded answer, exactly as from [`Self::query_with_budget`].
     ///
     /// # Panics
     ///
@@ -796,12 +781,22 @@ where
     where
         M: QueryModel<S, LeafItem = L> + Sync,
     {
+        let mut recorder = crate::obs::QueryBatchRecorder::new();
         let mut per_shard: Vec<(Vec<QueryAnswer>, QueryStats)> =
             self.iter().map(|_| Default::default()).collect();
         dispatch_busy(
             self.iter().zip(per_shard.iter_mut()).collect(),
             |shard, _| !shard.node(shard.root()).is_empty(),
-            |shard, slot| *slot = shard.query_batch(model, queries, order, budget),
+            |shard, (partials, stats)| {
+                let mut cursor = QueryCursor::new();
+                partials.reserve_exact(queries.len());
+                for query in queries {
+                    shard.begin_query(model, query, &mut cursor);
+                    shard.refine_query_up_to(model, order, budget, &mut cursor);
+                    partials.push(cursor.answer());
+                }
+                *stats = *cursor.stats();
+            },
         );
         let mut stats = QueryStats::default();
         let mut answers: Vec<ShardedQueryAnswer> = queries
@@ -814,6 +809,10 @@ where
                 answer.accumulate(k, partial);
             }
         }
+        for answer in &answers {
+            recorder.record(&answer.as_answer());
+        }
+        recorder.finish(&stats);
         (answers, stats)
     }
 
@@ -856,67 +855,6 @@ where
         crate::obs::record_query_answer(&answer, started);
         crate::obs::record_query_stats(&merged_stats(&cursors));
         OutlierScore { answer, verdict }
-    }
-}
-
-/// A point-in-time view of a whole [`ShardedAnytimeTree`]: one pinned
-/// [`TreeSnapshot`] per shard, taken together by
-/// [`ShardedAnytimeTree::snapshot`].
-///
-/// `Send + Sync` whenever the payloads are, and answers the full sharded
-/// query surface through the same generic engine the live tree uses — the
-/// pipelined mode's readers run against exactly this type.
-#[derive(Debug, Clone)]
-pub struct ShardedTreeSnapshot<S: Summary, L> {
-    shards: Vec<TreeSnapshot<S, L>>,
-}
-
-impl<S: Summary, L> ShardedTreeSnapshot<S, L> {
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard snapshots.
-    #[must_use]
-    pub fn shards(&self) -> &[TreeSnapshot<S, L>] {
-        &self.shards
-    }
-
-    /// The per-shard epochs this snapshot pins.
-    #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(TreeSnapshot::epoch).collect()
-    }
-
-    /// Incrementally moves every shard's snapshot forward to `tree`'s
-    /// current state ([`TreeSnapshot::refresh`]) and returns the summed
-    /// [`SnapshotRefresh`] counters: only the slot chunks and epoch pages
-    /// touched since the pins are replaced, shard by shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tree` is not the sharded tree this snapshot was taken
-    /// from (shard count or epoch registries differ).
-    pub fn refresh<R: ShardRouter<S>>(
-        &mut self,
-        tree: &ShardedAnytimeTree<S, L, R>,
-    ) -> SnapshotRefresh {
-        assert_eq!(
-            self.shards.len(),
-            tree.shards.len(),
-            "snapshot refreshed against a different sharded tree"
-        );
-        let mut total = SnapshotRefresh::default();
-        for (snapshot, shard) in self.shards.iter_mut().zip(&tree.shards) {
-            let report = snapshot.refresh(shard);
-            total.chunks_reused += report.chunks_reused;
-            total.chunks_refreshed += report.chunks_refreshed;
-            total.pages_reused += report.pages_reused;
-            total.pages_refreshed += report.pages_refreshed;
-        }
-        total
     }
 }
 
@@ -1090,7 +1028,7 @@ mod tests {
         // From now on distance decides.
         assert_eq!(sharded.route_object(&model, &blob(1.0, 1.0)), 0);
         assert_eq!(sharded.route_object(&model, &blob(19.0, 19.0)), 1);
-        assert!(sharded.aggregates().iter().all(Option::is_some));
+        assert!(sharded.aggregates.iter().all(Option::is_some));
     }
 
     #[test]
@@ -1216,12 +1154,14 @@ mod tests {
         }
         let query = [1.0, 1.0];
         for budget in [0usize, 1, 3, 8, usize::MAX] {
-            let reference = plain.query_with_budget(
-                &BlobQueryModel { n: 150.0 },
-                &query,
-                RefineOrder::BestFirst,
-                budget,
-            );
+            let reference = std::slice::from_ref(&plain)
+                .query_with_budget(
+                    &BlobQueryModel { n: 150.0 },
+                    &query,
+                    RefineOrder::BestFirst,
+                    budget,
+                )
+                .as_answer();
             let folded = sharded.shards().query_with_budget(
                 &BlobQueryModel { n: 150.0 },
                 &query,
@@ -1248,8 +1188,12 @@ mod tests {
         let model = BlobQueryModel { n: 200.0 };
         let shards = sharded.shards();
         for query in [[0.1, 0.2], [20.0, 20.1], [10.0, 10.0]] {
-            let reference =
-                plain.query_with_budget(&model, &query, RefineOrder::BestFirst, usize::MAX);
+            let reference = std::slice::from_ref(&plain).query_with_budget(
+                &model,
+                &query,
+                RefineOrder::BestFirst,
+                usize::MAX,
+            );
             let folded =
                 shards.query_with_budget(&model, &query, RefineOrder::BestFirst, usize::MAX);
             assert!(

@@ -182,6 +182,7 @@ impl<S: Summary, L> TreeView<S, L> for TreeSnapshot<S, L> {
 mod tests {
     use crate::model::InsertModel;
     use crate::query::{QueryModel, RefineOrder, TreeView};
+    use crate::shard::{ShardSet, ShardedQueryAnswer};
     use crate::summary::Summary;
     use crate::tree::AnytimeTree;
     use bt_index::PageGeometry;
@@ -317,6 +318,14 @@ mod tests {
             .collect()
     }
 
+    /// One view's answer, read as the one-shard set.
+    fn answer<V>(view: &V, query: &[f64], order: RefineOrder, budget: usize) -> ShardedQueryAnswer
+    where
+        V: TreeView<Blob, Blob> + Sync,
+    {
+        std::slice::from_ref(view).query_with_budget(&BlobQueryModel, query, order, budget)
+    }
+
     #[test]
     fn snapshot_pins_the_published_epoch_and_tracks_nothing_new() {
         let mut tree = AnytimeTree::new(2, geometry());
@@ -376,17 +385,15 @@ mod tests {
                 RefineOrder::WidestBound,
             ] {
                 for budget in [0usize, 1, 5, usize::MAX] {
-                    let expected =
-                        pre_batch.query_with_budget(&BlobQueryModel, query, order, budget);
-                    let got = snapshot.query_with_budget(&BlobQueryModel, query, order, budget);
+                    let expected = answer(&pre_batch, query, order, budget);
+                    let got = answer(&snapshot, query, order, budget);
                     assert_eq!(got, expected, "query {i}, {order:?}, budget {budget}");
                 }
             }
         }
         // The live tree has genuinely moved past the snapshot.
-        let live = tree.query_with_budget(&BlobQueryModel, &[0.3, 0.1], RefineOrder::BestFirst, 0);
-        let frozen =
-            snapshot.query_with_budget(&BlobQueryModel, &[0.3, 0.1], RefineOrder::BestFirst, 0);
+        let live = answer(&tree, &[0.3, 0.1], RefineOrder::BestFirst, 0);
+        let frozen = answer(&snapshot, &[0.3, 0.1], RefineOrder::BestFirst, 0);
         assert!((live.estimate - frozen.estimate).abs() > 1e-12);
     }
 
@@ -431,14 +438,8 @@ mod tests {
         assert_eq!(tree.oldest_pinned_epoch(), Some(tree.epoch()));
         // The refreshed snapshot answers exactly like the live tree.
         for query in [[0.3, 0.1], [20.0, 20.2], [10.0, 10.0]] {
-            let live =
-                tree.query_with_budget(&BlobQueryModel, &query, RefineOrder::BestFirst, usize::MAX);
-            let fresh = snapshot.query_with_budget(
-                &BlobQueryModel,
-                &query,
-                RefineOrder::BestFirst,
-                usize::MAX,
-            );
+            let live = answer(&tree, &query, RefineOrder::BestFirst, usize::MAX);
+            let fresh = answer(&snapshot, &query, RefineOrder::BestFirst, usize::MAX);
             assert_eq!(fresh, live);
         }
         // A refresh right after catching up reuses everything.

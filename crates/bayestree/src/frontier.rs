@@ -12,7 +12,7 @@
 //! orderings of Section 2.2, the resumable cursor with its certain
 //! `[lower, upper]` density bounds — is the shared engine in
 //! [`bt_anytree::query`]; this module is the Bayes tree's thin instantiation
-//! over the [`KernelQueryModel`](crate::query::KernelQueryModel).  The
+//! over the [`KernelQueryModel`].  The
 //! paper's [`DescentStrategy`] names map one-to-one onto the core's
 //! [`RefineOrder`](bt_anytree::RefineOrder)s.
 

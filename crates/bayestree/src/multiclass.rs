@@ -15,7 +15,8 @@
 //!
 //! Like the plain Bayes tree and the clustering extension, the structure is
 //! an instantiation of the shared [`bt_anytree`] core — here with a
-//! label-aware payload ([`LabeledSummary`]) and `(point, label)` leaf items.
+//! label-aware payload (a per-class cluster-feature summary) and
+//! `(point, label)` leaf items.
 
 use crate::descent::{DescentStrategy, PriorityMeasure};
 use bt_anytree::{AnytimeTree, InsertModel, Node, NodeKind, Summary};

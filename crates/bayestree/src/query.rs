@@ -26,8 +26,8 @@ use crate::descent::{DescentStrategy, PriorityMeasure};
 use crate::node::{StoredElement, StoredSummary};
 use crate::tree::BayesTree;
 use bt_anytree::{
-    Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, ShardSet, SummaryScore,
-    TreeView,
+    Entry, OutlierScore, QueryAnswer, QueryModel, QueryStats, RefineOrder, ShardSet,
+    ShardedQueryAnswer, SummaryScore,
 };
 use bt_stats::kernel::{
     box_min_sq_dists_block, diag_log_pdfs_block, farthest_point_log_kernels_block,
@@ -308,7 +308,8 @@ impl<E: StoredElement> BayesTree<E> {
 
     /// Budget-bracketed anytime density query: refines the frontier with the
     /// given descent strategy for up to `budget` node reads and returns the
-    /// mixture estimate with its certain `[lower, upper]` bounds.
+    /// mixture estimate with its certain `[lower, upper]` bounds — the
+    /// one-shard case of [`ShardSet::query_with_budget`].
     ///
     /// # Panics
     ///
@@ -320,13 +321,14 @@ impl<E: StoredElement> BayesTree<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> QueryAnswer {
-        self.core()
+        std::slice::from_ref(self.core())
             .query_with_budget(&self.query_model(), x, strategy.into(), budget)
+            .as_answer()
     }
 
     /// Refines a batch of density queries through one reused cursor, each up
     /// to `budget` node reads; returns the per-query answers plus the merged
-    /// [`QueryStats`].
+    /// [`QueryStats`] — the one-shard case of [`ShardSet::query_batch`].
     ///
     /// # Panics
     ///
@@ -338,8 +340,16 @@ impl<E: StoredElement> BayesTree<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core()
-            .query_batch(&self.query_model(), queries, strategy.into(), budget)
+        let (answers, stats) = std::slice::from_ref(self.core()).query_batch(
+            &self.query_model(),
+            queries,
+            strategy.into(),
+            budget,
+        );
+        (
+            answers.iter().map(ShardedQueryAnswer::as_answer).collect(),
+            stats,
+        )
     }
 
     /// Anytime outlier scoring: refines the density bounds (widest interval
@@ -360,7 +370,7 @@ impl<E: StoredElement> BayesTree<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_anytree::{OutlierVerdict, Summary as _};
+    use bt_anytree::{OutlierVerdict, Summary as _, TreeView};
     use bt_index::PageGeometry;
     use bt_stats::BlockScratch;
     use rand::rngs::StdRng;

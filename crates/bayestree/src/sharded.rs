@@ -1,7 +1,7 @@
 //! The sharded Bayes tree: parallel kernel insertion across subtree shards.
 //!
 //! A [`ShardedBayesTree`] partitions the kernel space into `K` independent
-//! [`BayesTree`]-style shards behind the shared sharding layer of
+//! [`BayesTree`](crate::BayesTree)-style shards behind the shared sharding layer of
 //! [`bt_anytree::shard`]: the default [`CheapestRouter`] sends each point to
 //! the shard whose aggregate is closest (so shards converge to spatial
 //! regions, exactly the subtrees a taller single tree would form), and
@@ -17,15 +17,14 @@ use crate::descent::DescentStrategy;
 use crate::insert::KernelModel;
 use crate::node::StoredElement;
 use crate::query::KernelQueryModel;
-use crate::tree::check_finite;
-use crate::view::ShardedBayesTreeSnapshot;
+use crate::tree::{all_points_over, full_kernel_density_over, validate_shards};
+use crate::view::BayesTreeSnapshot;
 use bt_anytree::{
     AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryStats,
     ShardRouter, ShardSet, ShardedAnytimeTree, ShardedBatchOutcome, ShardedQueryAnswer,
 };
 use bt_index::PageGeometry;
 use bt_stats::bandwidth::silverman_bandwidth;
-use bt_stats::kernel::{GaussianKernel, Kernel};
 
 /// A Bayes tree sharded into `K` independently descending subtrees.
 ///
@@ -131,17 +130,18 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     }
 
     /// Takes an epoch-pinned snapshot of every shard plus the frozen global
-    /// density-model parameters (observation count, bandwidth).  The
-    /// snapshot is `Send + Sync` and answers the folded query surface
-    /// bit-identically to this moment while later batches drain into the
-    /// live shards.
+    /// density-model parameters (observation count, bandwidth) — the same
+    /// [`BayesTreeSnapshot`] type a plain tree returns, with one pinned
+    /// shard per live shard.  The snapshot is `Send + Sync` and answers the
+    /// folded query surface bit-identically to this moment while later
+    /// batches drain into the live shards.
     #[must_use]
-    pub fn snapshot(&self) -> ShardedBayesTreeSnapshot<E> {
-        ShardedBayesTreeSnapshot::from_parts(
-            self.core.snapshot(),
-            self.num_points,
-            self.bandwidth.clone(),
-        )
+    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
+        BayesTreeSnapshot {
+            shards: self.core.snapshot(),
+            num_points: self.num_points,
+            bandwidth: self.bandwidth.clone(),
+        }
     }
 
     /// The kernel-density query model of this sharded tree: normalised by
@@ -246,15 +246,7 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     /// arbitrary order within a shard).
     #[must_use]
     pub fn all_points(&self) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.num_points);
-        for shard in self.core.shards() {
-            for id in shard.reachable() {
-                if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
-                    out.extend(items.iter().cloned());
-                }
-            }
-        }
-        out
+        all_points_over(self.core.shards(), self.num_points)
     }
 
     /// Evaluates the full kernel density estimate `p(x)` by reading every
@@ -262,60 +254,24 @@ impl<R, E: StoredElement> ShardedBayesTree<R, E> {
     /// the kernel sum does not care how the kernels are partitioned.
     #[must_use]
     pub fn full_kernel_density(&self, x: &[f64]) -> f64 {
-        if self.num_points == 0 {
-            return 0.0;
-        }
-        let kernel = GaussianKernel;
-        let mut acc = 0.0;
-        for shard in self.core.shards() {
-            for id in shard.reachable() {
-                if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
-                    for p in items {
-                        acc += kernel.density(p, x, &self.bandwidth);
-                    }
-                }
-            }
-        }
-        acc / self.num_points as f64
+        full_kernel_density_over(self.core.shards(), x, &self.bandwidth, self.num_points)
     }
 
-    /// Validates per-shard consistency: every stored value is finite (the
-    /// same check [`crate::BayesTree::validate`] runs), the aggregated root
-    /// weight of every shard matches its reachable observations, and the
-    /// total matches [`Self::len`].
+    /// Validates every shard with the plain tree's full per-node walk
+    /// ([`crate::BayesTree::validate`] with balance required: finiteness,
+    /// fanout, box nesting, CF/LS consistency, balance) and checks that
+    /// the shards together hold exactly [`Self::len`] observations.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        let mut reachable_total = 0usize;
-        for (k, shard) in self.core.shards().iter().enumerate() {
-            let mut shard_points = 0usize;
-            for id in shard.reachable() {
-                let node = shard.node(id);
-                check_finite(id, node).map_err(|e| format!("shard {k}: {e}"))?;
-                if let bt_anytree::NodeKind::Leaf { items } = &node.kind {
-                    shard_points += items.len();
-                }
-            }
-            let root = shard.node(shard.root());
-            if let bt_anytree::NodeKind::Inner { entries } = &root.kind {
-                let weight: f64 = entries.iter().map(|e| e.weight()).sum();
-                if (weight - shard_points as f64).abs() > 1e-6 {
-                    return Err(format!(
-                        "shard {k} root claims {weight} objects, {shard_points} are reachable"
-                    ));
-                }
-            }
-            reachable_total += shard_points;
-        }
-        if reachable_total != self.num_points {
-            return Err(format!(
-                "sharded tree claims {} points but {reachable_total} are reachable",
-                self.num_points
-            ));
-        }
-        Ok(())
+        validate_shards(
+            self.core.shards(),
+            &self.core.geometry(),
+            self.num_points,
+            true,
+        )
     }
 }
 

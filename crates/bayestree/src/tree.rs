@@ -8,9 +8,10 @@
 //!
 //! Structurally the tree is a thin instantiation of the shared
 //! [`bt_anytree::AnytimeTree`] core (node arena, descent, split
-//! propagation) with the [`KernelSummary`] payload and raw kernel centres as
-//! leaf items.  The structure is built either incrementally
-//! ([`crate::insert`]) or by one of the bulk loaders ([`crate::bulk`]).
+//! propagation) with the [`KernelSummary`](crate::node::KernelSummary)
+//! payload and raw kernel centres as leaf items.  The structure is built
+//! either incrementally ([`crate::insert`]) or by one of the bulk loaders
+//! ([`crate::bulk`]).
 
 use crate::node::{
     node_cluster_feature, node_mbr, Entry, Node, NodeId, StoredElement, StoredSummary,
@@ -156,13 +157,7 @@ impl<E: StoredElement> BayesTree<E> {
     /// All observations stored at leaf level (in arbitrary order).
     #[must_use]
     pub fn all_points(&self) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.num_points);
-        for id in self.core.reachable() {
-            if let bt_anytree::NodeKind::Leaf { items } = &self.core.node(id).kind {
-                out.extend(items.iter().cloned());
-            }
-        }
-        out
+        all_points_over(std::slice::from_ref(&self.core), self.num_points)
     }
 
     /// The entries the anytime descent starts from: the root's entries, or a
@@ -196,19 +191,12 @@ impl<E: StoredElement> BayesTree<E> {
     /// leaf kernel — the model the anytime frontier converges to.
     #[must_use]
     pub fn full_kernel_density(&self, x: &[f64]) -> f64 {
-        if self.num_points == 0 {
-            return 0.0;
-        }
-        let kernel = GaussianKernel;
-        let mut acc = 0.0;
-        for id in self.core.reachable() {
-            if let bt_anytree::NodeKind::Leaf { items } = &self.core.node(id).kind {
-                for p in items {
-                    acc += kernel.density(p, x, &self.bandwidth);
-                }
-            }
-        }
-        acc / self.num_points as f64
+        full_kernel_density_over(
+            std::slice::from_ref(&self.core),
+            x,
+            &self.bandwidth,
+            self.num_points,
+        )
     }
 
     /// The complete mixture model stored at tree level `level` (0 = root
@@ -253,129 +241,12 @@ impl<E: StoredElement> BayesTree<E> {
     /// Returns `Err` with a human-readable description of the violated
     /// invariant.
     pub fn validate(&self, require_balanced: bool) -> Result<(), String> {
-        let mut leaf_depths = Vec::new();
-        let mut seen_points = 0usize;
-        self.validate_node(self.root(), 1, true, &mut leaf_depths, &mut seen_points)?;
-        if seen_points != self.num_points {
-            return Err(format!(
-                "tree claims {} points but {} are reachable",
-                self.num_points, seen_points
-            ));
-        }
-        if require_balanced {
-            if let (Some(min), Some(max)) = (leaf_depths.iter().min(), leaf_depths.iter().max()) {
-                if min != max {
-                    return Err(format!(
-                        "tree is not balanced: leaf depths range from {min} to {max}"
-                    ));
-                }
-                if *max != self.height() {
-                    return Err(format!(
-                        "stored height {} does not match actual depth {max}",
-                        self.height()
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_node(
-        &self,
-        id: NodeId,
-        depth: usize,
-        is_root: bool,
-        leaf_depths: &mut Vec<usize>,
-        seen_points: &mut usize,
-    ) -> Result<(), String> {
-        let geometry = self.geometry();
-        let node = self.core.node(id);
-        check_finite(id, node)?;
-        match &node.kind {
-            bt_anytree::NodeKind::Leaf { items } => {
-                leaf_depths.push(depth);
-                *seen_points += items.len();
-                if !is_root && items.len() > geometry.max_leaf {
-                    return Err(format!(
-                        "leaf {id} holds {} observations, capacity is {}",
-                        items.len(),
-                        geometry.max_leaf
-                    ));
-                }
-                for p in items {
-                    if p.len() != self.dims() {
-                        return Err(format!("leaf {id} holds a point of wrong dimensionality"));
-                    }
-                }
-                Ok(())
-            }
-            bt_anytree::NodeKind::Inner { entries } => {
-                if entries.is_empty() {
-                    return Err(format!("inner node {id} has no entries"));
-                }
-                if entries.len() > geometry.max_fanout {
-                    return Err(format!(
-                        "inner node {id} has {} entries, fanout limit is {}",
-                        entries.len(),
-                        geometry.max_fanout
-                    ));
-                }
-                if !is_root && entries.len() < geometry.min_fanout.min(2) {
-                    return Err(format!(
-                        "inner node {id} has {} entries, below the minimum",
-                        entries.len()
-                    ));
-                }
-                for (i, entry) in entries.iter().enumerate() {
-                    if entry.buffer.is_some() {
-                        return Err(format!(
-                            "entry {i} of node {id} has a hitchhiker buffer (unused here)"
-                        ));
-                    }
-                    let child = self.core.node(entry.child);
-                    // The decoded entry box must contain the child's decoded
-                    // MBR (both at full width, so the check is representation
-                    // agnostic — the outward-rounding contract of every
-                    // narrowed mode makes this hold exactly).
-                    if let Some(child_mbr) = node_mbr(child) {
-                        let entry_mbr = entry
-                            .owned_mbr()
-                            .ok_or_else(|| format!("entry {i} of node {id} exposes no box"))?;
-                        if !entry_mbr.contains_mbr(&child_mbr) {
-                            return Err(format!(
-                                "entry {i} of node {id} does not contain its child's MBR"
-                            ));
-                        }
-                    }
-                    // CF weight must match the number of objects below
-                    // (exact in every mode: weights are never quantised).
-                    let child_cf = node_cluster_feature(child, self.dims());
-                    if (entry.weight() - child_cf.weight()).abs() > 1e-6 {
-                        return Err(format!(
-                            "entry {i} of node {id} claims {} objects, child holds {}",
-                            entry.weight(),
-                            child_cf.weight()
-                        ));
-                    }
-                    // Decoded LS must agree with the child's decoded fold up
-                    // to the representations' declared quantisation slack
-                    // (zero for the lossless-accumulation modes).
-                    let entry_cf = entry.exact_cf();
-                    let slack = entry.ls_slack() + node_ls_slack(child);
-                    for d in 0..self.dims() {
-                        let entry_ls = entry_cf.linear_sum()[d];
-                        let child_ls = child_cf.linear_sum()[d];
-                        if (entry_ls - child_ls).abs() > 1e-4 * (1.0 + child_ls.abs()) + slack {
-                            return Err(format!(
-                                "entry {i} of node {id}: LS[{d}] inconsistent with child"
-                            ));
-                        }
-                    }
-                    self.validate_node(entry.child, depth + 1, false, leaf_depths, seen_points)?;
-                }
-                Ok(())
-            }
-        }
+        validate_shards(
+            std::slice::from_ref(&self.core),
+            &self.geometry(),
+            self.num_points,
+            require_balanced,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -470,12 +341,201 @@ impl<E: StoredElement> BayesTree<E> {
     }
 }
 
+/// All observations stored at leaf level across a set of shard views
+/// (shard-major, arbitrary order within a shard) — the one leaf walk
+/// behind the plain and the sharded tree's `all_points`.
+pub(crate) fn all_points_over<S: Summary>(
+    shards: &[AnytimeTree<S, Vec<f64>>],
+    num_points: usize,
+) -> Vec<Vec<f64>> {
+    let mut out = Vec::with_capacity(num_points);
+    for shard in shards {
+        for id in shard.reachable() {
+            if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
+                out.extend(items.iter().cloned());
+            }
+        }
+    }
+    out
+}
+
+/// The full kernel density estimate over every leaf kernel of a set of
+/// shard views, normalised by the global observation count.  The kernel
+/// sum does not care how the kernels are partitioned, so the plain tree
+/// is the one-shard case.
+pub(crate) fn full_kernel_density_over<S: Summary>(
+    shards: &[AnytimeTree<S, Vec<f64>>],
+    x: &[f64],
+    bandwidth: &[f64],
+    num_points: usize,
+) -> f64 {
+    if num_points == 0 {
+        return 0.0;
+    }
+    let kernel = GaussianKernel;
+    let mut acc = 0.0;
+    for shard in shards {
+        for id in shard.reachable() {
+            if let bt_anytree::NodeKind::Leaf { items } = &shard.node(id).kind {
+                for p in items {
+                    acc += kernel.density(p, x, bandwidth);
+                }
+            }
+        }
+    }
+    acc / num_points as f64
+}
+
+/// Validates every shard of a Bayes tree with the full per-node walk —
+/// finiteness, fanout and leaf capacity, box nesting, CF weight and LS
+/// consistency, and (when `require_balanced`) balance against the shard's
+/// stored height — then checks that the shards together hold exactly
+/// `num_points` observations.  The plain tree is the one-shard case;
+/// errors from a multi-shard tree name the offending shard.
+pub(crate) fn validate_shards<S: StoredSummary>(
+    shards: &[AnytimeTree<S, Vec<f64>>],
+    geometry: &PageGeometry,
+    num_points: usize,
+    require_balanced: bool,
+) -> Result<(), String> {
+    let mut seen_points = 0usize;
+    for (k, shard) in shards.iter().enumerate() {
+        let in_shard = |e: String| match shards.len() {
+            1 => e,
+            _ => format!("shard {k}: {e}"),
+        };
+        let mut leaves = Vec::new();
+        validate_node(shard, geometry, shard.root(), 1, &mut leaves).map_err(in_shard)?;
+        seen_points += leaves.iter().map(|&(_, items)| items).sum::<usize>();
+        let depths = leaves.iter().map(|&(depth, _)| depth);
+        if let (true, Some(min), Some(max)) = (require_balanced, depths.clone().min(), depths.max())
+        {
+            if min != max {
+                return Err(in_shard(format!(
+                    "tree is not balanced: leaf depths range from {min} to {max}"
+                )));
+            }
+            if max != shard.height() {
+                return Err(in_shard(format!(
+                    "stored height {} does not match actual depth {max}",
+                    shard.height()
+                )));
+            }
+        }
+    }
+    if seen_points != num_points {
+        return Err(format!(
+            "tree claims {num_points} points but {seen_points} are reachable"
+        ));
+    }
+    Ok(())
+}
+
+/// The recursive node check of [`validate_shards`]; records every
+/// reachable leaf as `(depth, observations)` in `leaves`.
+fn validate_node<S: StoredSummary>(
+    view: &AnytimeTree<S, Vec<f64>>,
+    geometry: &PageGeometry,
+    id: NodeId,
+    depth: usize,
+    leaves: &mut Vec<(usize, usize)>,
+) -> Result<(), String> {
+    let is_root = depth == 1;
+    let dims = view.dims();
+    let node = view.node(id);
+    check_finite(id, node)?;
+    match &node.kind {
+        bt_anytree::NodeKind::Leaf { items } => {
+            leaves.push((depth, items.len()));
+            if !is_root && items.len() > geometry.max_leaf {
+                return Err(format!(
+                    "leaf {id} holds {} observations, capacity is {}",
+                    items.len(),
+                    geometry.max_leaf
+                ));
+            }
+            for p in items {
+                if p.len() != dims {
+                    return Err(format!("leaf {id} holds a point of wrong dimensionality"));
+                }
+            }
+            Ok(())
+        }
+        bt_anytree::NodeKind::Inner { entries } => {
+            if entries.is_empty() {
+                return Err(format!("inner node {id} has no entries"));
+            }
+            if entries.len() > geometry.max_fanout {
+                return Err(format!(
+                    "inner node {id} has {} entries, fanout limit is {}",
+                    entries.len(),
+                    geometry.max_fanout
+                ));
+            }
+            if !is_root && entries.len() < geometry.min_fanout.min(2) {
+                return Err(format!(
+                    "inner node {id} has {} entries, below the minimum",
+                    entries.len()
+                ));
+            }
+            for (i, entry) in entries.iter().enumerate() {
+                if entry.buffer.is_some() {
+                    return Err(format!(
+                        "entry {i} of node {id} has a hitchhiker buffer (unused here)"
+                    ));
+                }
+                let child = view.node(entry.child);
+                // The decoded entry box must contain the child's decoded
+                // MBR (both at full width, so the check is representation
+                // agnostic — the outward-rounding contract of every
+                // narrowed mode makes this hold exactly).
+                if let Some(child_mbr) = node_mbr(child) {
+                    let entry_mbr = entry
+                        .owned_mbr()
+                        .ok_or_else(|| format!("entry {i} of node {id} exposes no box"))?;
+                    if !entry_mbr.contains_mbr(&child_mbr) {
+                        return Err(format!(
+                            "entry {i} of node {id} does not contain its child's MBR"
+                        ));
+                    }
+                }
+                // CF weight must match the number of objects below
+                // (exact in every mode: weights are never quantised).
+                let child_cf = node_cluster_feature(child, dims);
+                if (entry.weight() - child_cf.weight()).abs() > 1e-6 {
+                    return Err(format!(
+                        "entry {i} of node {id} claims {} objects, child holds {}",
+                        entry.weight(),
+                        child_cf.weight()
+                    ));
+                }
+                // Decoded LS must agree with the child's decoded fold up
+                // to the representations' declared quantisation slack
+                // (zero for the lossless-accumulation modes).
+                let entry_cf = entry.exact_cf();
+                let slack = entry.ls_slack() + node_ls_slack(child);
+                for d in 0..dims {
+                    let entry_ls = entry_cf.linear_sum()[d];
+                    let child_ls = child_cf.linear_sum()[d];
+                    if (entry_ls - child_ls).abs() > 1e-4 * (1.0 + child_ls.abs()) + slack {
+                        return Err(format!(
+                            "entry {i} of node {id}: LS[{d}] inconsistent with child"
+                        ));
+                    }
+                }
+                validate_node(view, geometry, entry.child, depth + 1, leaves)?;
+            }
+            Ok(())
+        }
+    }
+}
+
 /// Checks that everything node `id` stores is finite: every leaf kernel
 /// coordinate, and every entry summary's decoded cluster feature (weight,
 /// linear and squared sums) and box corners.  One NaN or infinity poisons
-/// every density bound above it, so the plain and the sharded validators
-/// both run this on every reachable node.
-pub(crate) fn check_finite<S: StoredSummary>(
+/// every density bound above it, so the validator runs this on every
+/// reachable node of every shard.
+fn check_finite<S: StoredSummary>(
     id: NodeId,
     node: &bt_anytree::Node<S, Vec<f64>>,
 ) -> Result<(), String> {

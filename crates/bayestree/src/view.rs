@@ -1,4 +1,4 @@
-//! Epoch-pinned snapshots of the Bayes tree, its sharded variant and the
+//! Epoch-pinned snapshots of the Bayes tree (plain or sharded) and the
 //! anytime classifier.
 //!
 //! A snapshot is a cheap, owned, `Send + Sync` point-in-time view over the
@@ -8,6 +8,11 @@
 //! concurrently (writers copy-on-write any node a snapshot still pins).
 //! This is what lets a stream processor keep serving density / outlier /
 //! classification queries *while* inserts are flowing.
+//!
+//! There is one snapshot type for both tree handles: a plain
+//! [`BayesTree`] snapshots as one pinned shard, a
+//! [`ShardedBayesTree`](crate::ShardedBayesTree) as one pinned shard per
+//! live shard, and every read folds the shards through [`ShardSet`].
 
 use crate::classifier::{run_anytime_over, AnytimeClassifier, AnytimeTrace, Classification};
 use crate::descent::DescentStrategy;
@@ -16,176 +21,43 @@ use crate::node::{KernelSummary, StoredElement};
 use crate::qbk::RefinementStrategy;
 use crate::query::KernelQueryModel;
 use crate::tree::BayesTree;
-use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, ShardSet, ShardedQueryAnswer, ShardedTreeSnapshot,
-    TreeSnapshot, TreeView,
-};
+use bt_anytree::{OutlierScore, QueryStats, ShardSet, ShardedQueryAnswer, TreeSnapshot, TreeView};
 
-/// An epoch-pinned, immutable view of a [`BayesTree`]: the core snapshot
-/// plus the density-model parameters (observation count, bandwidth) frozen
+/// An epoch-pinned, immutable view of a Bayes tree: one pinned core
+/// snapshot per shard (exactly one for a plain [`BayesTree`]) plus the
+/// global density-model parameters (observation count, bandwidth) frozen
 /// at snapshot time.
 #[derive(Debug, Clone)]
 pub struct BayesTreeSnapshot<E: StoredElement = f64> {
-    core: TreeSnapshot<E::Summary, Vec<f64>>,
-    num_points: usize,
-    bandwidth: Vec<f64>,
+    pub(crate) shards: Vec<TreeSnapshot<E::Summary, Vec<f64>>>,
+    pub(crate) num_points: usize,
+    pub(crate) bandwidth: Vec<f64>,
 }
 
 impl<E: StoredElement> BayesTreeSnapshot<E> {
-    pub(crate) fn from_parts(
-        core: TreeSnapshot<E::Summary, Vec<f64>>,
-        num_points: usize,
-        bandwidth: Vec<f64>,
-    ) -> Self {
-        Self {
-            core,
-            num_points,
-            bandwidth,
-        }
+    /// Number of shards captured (1 for a plain tree).
+    #[must_use]
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The per-shard core snapshots (for frontier construction and
+    /// inspection through [`TreeView`]).
+    #[must_use]
+    pub fn shards(&self) -> &[TreeSnapshot<E::Summary, Vec<f64>>] {
+        &self.shards
+    }
+
+    /// The per-shard published epochs this snapshot pins.
+    #[must_use]
+    pub fn epochs(&self) -> Vec<u64> {
+        self.shards.iter().map(TreeSnapshot::epoch).collect()
     }
 
     /// Dimensionality of the stored kernels.
     #[must_use]
     pub fn dims(&self) -> usize {
-        self.core.dims()
-    }
-
-    /// Number of observations stored at snapshot time.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_points
-    }
-
-    /// Whether the snapshot holds no observations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_points == 0
-    }
-
-    /// Height of the tree at snapshot time.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.core.height()
-    }
-
-    /// The published epoch this snapshot pins.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// The kernel bandwidth frozen at snapshot time.
-    #[must_use]
-    pub fn bandwidth(&self) -> &[f64] {
-        &self.bandwidth
-    }
-
-    /// The underlying core snapshot (for frontier construction and
-    /// inspection through [`TreeView`]).
-    #[must_use]
-    pub fn core(&self) -> &TreeSnapshot<E::Summary, Vec<f64>> {
-        &self.core
-    }
-
-    /// The kernel-density query model frozen at snapshot time (block
-    /// precision follows the stored precision, exactly as on the live
-    /// tree).
-    #[must_use]
-    pub fn query_model(&self) -> KernelQueryModel<'_> {
-        KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth)
-    }
-
-    /// Budget-bracketed anytime density query against the frozen tree —
-    /// exactly what [`BayesTree::anytime_density`] returned at snapshot
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_density(
-        &self,
-        x: &[f64],
-        strategy: DescentStrategy,
-        budget: usize,
-    ) -> QueryAnswer {
-        self.core
-            .query_with_budget(&self.query_model(), x, strategy.into(), budget)
-    }
-
-    /// Batched density queries through one reused cursor (see
-    /// [`BayesTree::density_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query has the wrong dimensionality.
-    #[must_use]
-    pub fn density_batch(
-        &self,
-        queries: &[Vec<f64>],
-        strategy: DescentStrategy,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core
-            .query_batch(&self.query_model(), queries, strategy.into(), budget)
-    }
-
-    /// Anytime outlier scoring against the frozen tree (see
-    /// [`BayesTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        std::slice::from_ref(&self.core).outlier_score(&self.query_model(), x, threshold, budget)
-    }
-}
-
-impl<E: StoredElement> BayesTree<E> {
-    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned
-    /// (`O(nodes)` pointer copies), the published epoch is pinned, and the
-    /// density-model parameters (count, bandwidth) are frozen alongside.
-    ///
-    /// The snapshot is `Send + Sync` and keeps answering queries
-    /// bit-identically to this moment while later inserts mutate the tree.
-    #[must_use]
-    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
-        BayesTreeSnapshot::from_parts(
-            self.core().snapshot(),
-            self.len(),
-            self.bandwidth().to_vec(),
-        )
-    }
-}
-
-/// An epoch-pinned, immutable view of a
-/// [`ShardedBayesTree`](crate::ShardedBayesTree): one pinned core snapshot
-/// per shard plus the frozen global density-model parameters.
-#[derive(Debug, Clone)]
-pub struct ShardedBayesTreeSnapshot<E: StoredElement = f64> {
-    core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
-    num_points: usize,
-    bandwidth: Vec<f64>,
-}
-
-impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<E::Summary, Vec<f64>>,
-        num_points: usize,
-        bandwidth: Vec<f64>,
-    ) -> Self {
-        Self {
-            core,
-            num_points,
-            bandwidth,
-        }
-    }
-
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.core.num_shards()
+        self.shards[0].dims()
     }
 
     /// Number of observations stored at snapshot time (across all shards).
@@ -200,26 +72,31 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         self.num_points == 0
     }
 
-    /// The per-shard epochs this snapshot pins.
+    /// Height of the tallest shard at snapshot time.
     #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.core.epochs()
+    pub fn height(&self) -> usize {
+        self.shards.iter().map(TreeView::height).max().unwrap_or(1)
     }
 
-    /// The underlying per-shard core snapshots.
+    /// The kernel bandwidth frozen at snapshot time.
     #[must_use]
-    pub fn core(&self) -> &ShardedTreeSnapshot<E::Summary, Vec<f64>> {
-        &self.core
+    pub fn bandwidth(&self) -> &[f64] {
+        &self.bandwidth
     }
 
     /// The kernel-density query model frozen at snapshot time, normalised
-    /// by the **global** observation count across the frozen shards.
-    fn query_model(&self) -> KernelQueryModel<'_> {
+    /// by the **global** observation count so per-shard partials fold by
+    /// summation (block precision follows the stored precision, exactly as
+    /// on the live tree).
+    #[must_use]
+    pub fn query_model(&self) -> KernelQueryModel<'_> {
         KernelQueryModel::stored::<E>(self.num_points, &self.bandwidth)
     }
 
-    /// Folded anytime density query against the frozen shards — exactly
-    /// what the live sharded tree answered at snapshot time.
+    /// Budget-bracketed anytime density query against the frozen shards —
+    /// exactly what the live tree's `anytime_density` returned at snapshot
+    /// time ([`BayesTree::anytime_density`] is this answer's
+    /// [`ShardedQueryAnswer::as_answer`]).
     ///
     /// # Panics
     ///
@@ -231,12 +108,12 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        self.core
-            .shards()
+        self.shards
             .query_with_budget(&self.query_model(), x, strategy.into(), budget)
     }
 
-    /// Batched folded density queries against the frozen shards.
+    /// Batched density queries against the frozen shards, one reused
+    /// cursor per shard (see [`BayesTree::density_batch`]).
     ///
     /// # Panics
     ///
@@ -248,21 +125,37 @@ impl<E: StoredElement> ShardedBayesTreeSnapshot<E> {
         strategy: DescentStrategy,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        self.core
-            .shards()
+        self.shards
             .query_batch(&self.query_model(), queries, strategy.into(), budget)
     }
 
-    /// Anytime outlier scoring against the frozen shards.
+    /// Anytime outlier scoring against the frozen shards (see
+    /// [`BayesTree::outlier_score`]); `budget` caps the total node reads.
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn outlier_score(&self, x: &[f64], threshold: f64, budget: usize) -> OutlierScore {
-        self.core
-            .shards()
+        self.shards
             .outlier_score(&self.query_model(), x, threshold, budget)
+    }
+}
+
+impl<E: StoredElement> BayesTree<E> {
+    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned
+    /// (`O(nodes)` pointer copies), the published epoch is pinned, and the
+    /// density-model parameters (count, bandwidth) are frozen alongside.
+    ///
+    /// The snapshot is `Send + Sync` and keeps answering queries
+    /// bit-identically to this moment while later inserts mutate the tree.
+    #[must_use]
+    pub fn snapshot(&self) -> BayesTreeSnapshot<E> {
+        BayesTreeSnapshot {
+            shards: vec![self.core().snapshot()],
+            num_points: self.len(),
+            bandwidth: self.bandwidth().to_vec(),
+        }
     }
 }
 
@@ -340,7 +233,7 @@ impl ClassifierSnapshot {
         let frontiers: Vec<TreeFrontier<'_, TreeSnapshot<KernelSummary, Vec<f64>>>> = self
             .trees
             .iter()
-            .map(|t| TreeFrontier::over(t.core(), t.query_model(), x))
+            .map(|t| TreeFrontier::over(&t.shards()[0], t.query_model(), x))
             .collect();
         run_anytime_over(
             frontiers,
@@ -431,7 +324,6 @@ mod tests {
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BayesTreeSnapshot>();
-        assert_send_sync::<ShardedBayesTreeSnapshot>();
         assert_send_sync::<ClassifierSnapshot>();
     }
 
@@ -443,12 +335,12 @@ mod tests {
             let tree = build_tree(&points, 2, PageGeometry::from_fanout(4, 4), method, 7);
             let snapshot = tree.snapshot();
             assert!(
-                snapshot.epoch() >= 1,
+                snapshot.epochs()[0] >= 1,
                 "{method:?}: bulk build must publish an epoch"
             );
-            for id in snapshot.core().reachable() {
+            for id in snapshot.shards()[0].reachable() {
                 assert!(
-                    snapshot.core().node_version(id) <= snapshot.epoch(),
+                    snapshot.shards()[0].node_version(id) <= snapshot.epochs()[0],
                     "{method:?}: node {id} stamped past the published epoch"
                 );
             }

@@ -7,7 +7,7 @@
 //! restamps it.
 
 use bayestree::{BayesTree, BayesTreeQuantized, DescentStrategy, ShardedBayesTree};
-use bt_anytree::{Node, NodeId, QueryAnswer, Summary, TreeView};
+use bt_anytree::{Node, NodeId, QueryAnswer, ShardSet, ShardedQueryAnswer, Summary, TreeView};
 use bt_index::PageGeometry;
 
 /// Delegating view whose `block_cache` stays at the default `None` — the
@@ -59,6 +59,12 @@ fn queries() -> Vec<Vec<f64>> {
     stream(40, 7)
 }
 
+/// Drops the per-shard split of folded answers (`as_answer`), so one-shard
+/// reads compare against the live tree's single-tree answers.
+fn as_answers(answers: &[ShardedQueryAnswer]) -> Vec<QueryAnswer> {
+    answers.iter().map(ShardedQueryAnswer::as_answer).collect()
+}
+
 fn bits(answers: &[QueryAnswer]) -> Vec<(u64, u64, u64)> {
     answers
         .iter()
@@ -68,13 +74,13 @@ fn bits(answers: &[QueryAnswer]) -> Vec<(u64, u64, u64)> {
 
 /// The live tree's shared core is crate-private, but an epoch-pinned
 /// snapshot of an idle tree answers bit-identically to the live tree and
-/// exposes its core — so the cache-less reference runs over that.
+/// exposes its one shard — so the cache-less reference runs over that.
 fn reference_batch(
     tree: &BayesTree,
     queries: &[Vec<f64>],
-) -> (Vec<QueryAnswer>, bt_anytree::QueryStats) {
+) -> (Vec<ShardedQueryAnswer>, bt_anytree::QueryStats) {
     let snapshot = tree.snapshot();
-    NoCache(snapshot.core()).query_batch(
+    [NoCache(&snapshot.shards()[0])].query_batch(
         &snapshot.query_model(),
         queries,
         DescentStrategy::default().into(),
@@ -100,7 +106,11 @@ fn warm_cache_answers_match_the_gather_every_time_reference() {
     // The cache-less reference view scores the same tree the long way.
     let (reference, ref_stats) = reference_batch(&tree, &queries);
     assert_eq!(ref_stats.gathers_avoided, 0, "no slots, no hits");
-    assert_eq!(bits(&reference), bits(&warm), "cache is invisible");
+    assert_eq!(
+        bits(&as_answers(&reference)),
+        bits(&warm),
+        "cache is invisible"
+    );
 }
 
 #[test]
@@ -115,7 +125,7 @@ fn mutation_restamps_the_slot_so_stale_blocks_are_never_reused() {
     let (after, _) = tree.density_batch(&queries, DescentStrategy::default(), BUDGET);
     let (reference, _) = reference_batch(&tree, &queries);
     assert_eq!(
-        bits(&reference),
+        bits(&as_answers(&reference)),
         bits(&after),
         "post-mutation answers must come from fresh gathers, not stale blocks"
     );
@@ -141,15 +151,23 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
         again_stats.gathers_avoided > 0,
         "snapshot reuses its warm blocks"
     );
-    assert_eq!(bits(&frozen), bits(&again), "snapshot answers are frozen");
+    assert_eq!(
+        bits(&as_answers(&frozen)),
+        bits(&as_answers(&again)),
+        "snapshot answers are frozen"
+    );
 
-    let (reference, _) = NoCache(snapshot.core()).query_batch(
+    let (reference, _) = [NoCache(&snapshot.shards()[0])].query_batch(
         &snapshot.query_model(),
         &queries,
         DescentStrategy::default().into(),
         BUDGET,
     );
-    assert_eq!(bits(&reference), bits(&frozen), "and still exact");
+    assert_eq!(
+        bits(&as_answers(&reference)),
+        bits(&as_answers(&frozen)),
+        "and still exact"
+    );
 }
 
 #[test]
@@ -175,14 +193,18 @@ fn quantized_decode_path_is_cache_invisible_and_matches_the_reference() {
     assert_eq!(bits(&cold), bits(&warm), "cached decodes change nothing");
 
     let snapshot = tree.snapshot();
-    let (reference, ref_stats) = NoCache(snapshot.core()).query_batch(
+    let (reference, ref_stats) = [NoCache(&snapshot.shards()[0])].query_batch(
         &snapshot.query_model(),
         &queries,
         DescentStrategy::default().into(),
         BUDGET,
     );
     assert_eq!(ref_stats.gathers_avoided, 0, "no slots, no hits");
-    assert_eq!(bits(&reference), bits(&warm), "cache is invisible");
+    assert_eq!(
+        bits(&as_answers(&reference)),
+        bits(&warm),
+        "cache is invisible"
+    );
 }
 
 #[test]

@@ -62,4 +62,4 @@ pub use query::{ClusQueryModel, ClusterNeighbor, KnnAnswer};
 pub use sharded::ShardedClusTree;
 pub use snapshot::SnapshotStore;
 pub use tree::{BatchOutcome, ClusTree, ClusTreeConfig, DepthHistogram, InsertOutcome};
-pub use view::{ClusTreeSnapshot, ShardedClusTreeSnapshot};
+pub use view::ClusTreeSnapshot;

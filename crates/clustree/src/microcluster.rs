@@ -88,6 +88,24 @@ impl MicroCluster {
         self.cf.dims()
     }
 
+    /// Whether everything the micro-cluster stores is finite: the CF
+    /// weight, linear and squared sums, the timestamp and the MBR corners.
+    #[must_use]
+    pub(crate) fn is_finite(&self) -> bool {
+        let cf = &self.cf;
+        cf.weight().is_finite()
+            && cf
+                .linear_sum()
+                .iter()
+                .chain(cf.squared_sum())
+                .all(|v| v.is_finite())
+            && self.last_update.is_finite()
+            && self
+                .mbr
+                .as_ref()
+                .is_none_or(|mbr| mbr.lower().iter().chain(mbr.upper()).all(|v| v.is_finite()))
+    }
+
     /// Whether the micro-cluster currently summarises (essentially) nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -44,7 +44,7 @@ use crate::microcluster::MicroCluster;
 use crate::tree::ClusTree;
 use bt_anytree::{
     ElementOrigin, Entry, NodeKind, OutlierScore, QueryAnswer, QueryCursor, QueryElement,
-    QueryModel, QueryStats, RefineOrder, ShardSet, SummaryScore, TreeView,
+    QueryModel, QueryStats, RefineOrder, ShardSet, ShardedQueryAnswer, SummaryScore, TreeView,
 };
 use bt_stats::kernel::{
     gaussian_log_term, gaussian_log_terms_block, nearest_point_log_kernel,
@@ -583,7 +583,8 @@ impl ClusTree {
 
     /// Budget-bracketed anytime density score: refines the frontier in the
     /// given order for up to `budget` node reads and returns the smoothed
-    /// kernel score with its certain `[lower, upper]` bounds.
+    /// kernel score with its certain `[lower, upper]` bounds — the
+    /// one-shard case of [`ShardSet::query_with_budget`].
     ///
     /// # Panics
     ///
@@ -596,11 +597,13 @@ impl ClusTree {
         order: RefineOrder,
         budget: usize,
     ) -> QueryAnswer {
-        self.core()
+        std::slice::from_ref(self.core())
             .query_with_budget(&self.query_model(bandwidth), x, order, budget)
+            .as_answer()
     }
 
-    /// Refines a batch of density queries through one reused cursor.
+    /// Refines a batch of density queries through one reused cursor — the
+    /// one-shard case of [`ShardSet::query_batch`].
     ///
     /// # Panics
     ///
@@ -613,8 +616,16 @@ impl ClusTree {
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core()
-            .query_batch(&self.query_model(bandwidth), queries, order, budget)
+        let (answers, stats) = std::slice::from_ref(self.core()).query_batch(
+            &self.query_model(bandwidth),
+            queries,
+            order,
+            budget,
+        );
+        (
+            answers.iter().map(ShardedQueryAnswer::as_answer).collect(),
+            stats,
+        )
     }
 
     /// Anytime k-NN micro-cluster retrieval: refines the frontier closest

@@ -10,17 +10,15 @@
 //! The offline step is unchanged: micro-clusters are additive, so the
 //! snapshot/offline components simply **fold the per-shard micro-clusters**
 //! into one set ([`ShardedClusTree::micro_clusters`]) before running
-//! [`weighted_dbscan`](crate::weighted_dbscan) or recording a pyramidal
+//! [`weighted_dbscan`] or recording a pyramidal
 //! snapshot, exactly as they would over a single tree.
 
 use crate::microcluster::MicroCluster;
 use crate::offline::{weighted_dbscan, DbscanConfig, MacroClustering};
 use crate::query::{anytime_knn_over, shard_query_model, ClusQueryModel, KnnAnswer};
 use crate::snapshot::SnapshotStore;
-use crate::tree::{
-    collect_micro_clusters, finish_micro_clusters, validate_node, ClusModel, ClusTreeConfig,
-};
-use crate::view::ShardedClusTreeSnapshot;
+use crate::tree::{micro_clusters_over, validate_node, ClusModel, ClusTreeConfig};
+use crate::view::ClusTreeSnapshot;
 use bt_anytree::{
     AnytimeTree, CheapestRouter, DescentStats, OutlierScore, PipelinedOutcome, QueryStats,
     RefineOrder, ShardRouter, ShardSet, ShardedAnytimeTree, ShardedBatchOutcome,
@@ -143,12 +141,11 @@ impl<R> ShardedClusTree<R> {
     /// clustering and snapshots do not care how the model was partitioned.
     #[must_use]
     pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        for shard in self.core.shards() {
-            collect_micro_clusters(shard, &mut out);
-        }
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
+        micro_clusters_over(
+            self.core.shards(),
+            self.current_time,
+            self.config.decay_lambda,
+        )
     }
 
     /// Number of current micro-clusters across all shards.
@@ -199,17 +196,19 @@ impl<R> ShardedClusTree<R> {
     }
 
     /// Takes an epoch-pinned snapshot of every shard plus the frozen model
-    /// parameters (decay rate, current time, insert count).  `Send + Sync`;
-    /// answers the folded density / k-NN / outlier surface bit-identically
-    /// to this moment while later batches drain into the live shards.
+    /// parameters (decay rate, current time, insert count) — the same
+    /// [`ClusTreeSnapshot`] type a plain tree returns, with one pinned
+    /// shard per live shard.  `Send + Sync`; answers the folded density /
+    /// k-NN / outlier surface bit-identically to this moment while later
+    /// batches drain into the live shards.
     #[must_use]
-    pub fn snapshot(&self) -> ShardedClusTreeSnapshot {
-        ShardedClusTreeSnapshot::from_parts(
-            self.core.snapshot(),
-            self.config.clone(),
-            self.current_time,
-            self.num_inserted,
-        )
+    pub fn snapshot(&self) -> ClusTreeSnapshot {
+        ClusTreeSnapshot {
+            shards: self.core.snapshot(),
+            config: self.config.clone(),
+            current_time: self.current_time,
+            num_inserted: self.num_inserted,
+        }
     }
 
     /// The micro-cluster query model of this sharded tree: normalised by
@@ -534,6 +533,28 @@ mod tests {
     fn wrong_dims_panics() {
         let mut tree: ShardedClusTree = ShardedClusTree::new(2, ClusTreeConfig::default(), 2);
         tree.insert(&[1.0], 0.0, 1);
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_micro_clusters() {
+        // A NaN coordinate alone (a root-leaf tree) and after a finite
+        // stream (so it reaches entry summaries): both validators must
+        // refuse the tree instead of reporting it valid.
+        for prefix in [0, 60] {
+            let mut stream = two_cluster_stream(prefix);
+            stream.push((vec![f64::NAN, 1.0], prefix as f64));
+            let mut plain = ClusTree::new(2, ClusTreeConfig::default());
+            let mut sharded: ShardedClusTree =
+                ShardedClusTree::new(2, ClusTreeConfig::default(), 2);
+            for (p, t) in stream {
+                plain.insert(&p, t, 10);
+                sharded.insert(&p, t, 10);
+            }
+            let plain_err = plain.validate().expect_err("plain tree with a NaN");
+            assert!(plain_err.contains("non-finite"), "{plain_err}");
+            let sharded_err = sharded.validate().expect_err("sharded tree with a NaN");
+            assert!(sharded_err.contains("non-finite"), "{sharded_err}");
+        }
     }
 
     #[test]

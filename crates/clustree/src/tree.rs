@@ -356,10 +356,11 @@ impl ClusTree {
     /// hitchhiker buffers, decayed to the tree's current time.
     #[must_use]
     pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        collect_micro_clusters(&self.core, &mut out);
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
+        micro_clusters_over(
+            std::slice::from_ref(&self.core),
+            self.current_time,
+            self.config.decay_lambda,
+        )
     }
 
     /// Number of current micro-clusters.
@@ -392,35 +393,39 @@ impl ClusTree {
     }
 }
 
-/// Gathers the raw (undecayed) micro-clusters of one core tree view: leaf
-/// items plus any non-empty hitchhiker buffers.  Shared by [`ClusTree`], the
-/// sharded tree (whose snapshot/offline step folds the shards' collections)
-/// and the epoch-pinned snapshots in [`crate::view`].
-pub(crate) fn collect_micro_clusters<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
-    core: &V,
-    out: &mut Vec<MicroCluster>,
-) {
-    for id in core.reachable() {
-        match &core.node(id).kind {
-            NodeKind::Leaf { items } => out.extend(items.iter().cloned()),
-            NodeKind::Inner { entries } => {
-                out.extend(entries.iter().filter_map(|e| e.buffer.clone()));
+/// The micro-clusters of a set of shard views — every shard's leaf items
+/// plus non-empty hitchhiker buffers, shard-major — decayed to `now` with
+/// the weightless dropped.  The one body behind the plain, sharded and
+/// snapshot `micro_clusters`: the offline step folds over the shards.
+pub(crate) fn micro_clusters_over<V: bt_anytree::TreeView<MicroCluster, MicroCluster>>(
+    shards: &[V],
+    now: f64,
+    lambda: f64,
+) -> Vec<MicroCluster> {
+    let mut out = Vec::new();
+    for shard in shards {
+        for id in shard.reachable() {
+            match &shard.node(id).kind {
+                NodeKind::Leaf { items } => out.extend(items.iter().cloned()),
+                NodeKind::Inner { entries } => {
+                    out.extend(entries.iter().filter_map(|e| e.buffer.clone()));
+                }
             }
         }
     }
-}
-
-/// Decays a collected micro-cluster set to `now` and drops the weightless.
-pub(crate) fn finish_micro_clusters(out: &mut Vec<MicroCluster>, now: f64, lambda: f64) {
-    for mc in out.iter_mut() {
+    for mc in &mut out {
         mc.decay_to(now, lambda);
     }
     out.retain(|mc| mc.weight() > f64::EPSILON);
+    out
 }
 
 /// Validates one core (sub)tree: every node within capacity (plus the
-/// bounded directory slack a deferred split may leave behind) and all
-/// aggregated weights non-negative.  Shared by the plain and sharded trees.
+/// bounded directory slack a deferred split may leave behind), all
+/// aggregated weights non-negative, and every stored micro-cluster, entry
+/// summary and buffer finite ([`MicroCluster::is_finite`]) — one NaN
+/// poisons every density bound above it.  Shared by the plain and sharded
+/// trees.
 pub(crate) fn validate_node(
     core: &AnytimeTree<MicroCluster, MicroCluster>,
     config: &ClusTreeConfig,
@@ -440,13 +445,23 @@ pub(crate) fn validate_node(
     match &node.kind {
         NodeKind::Leaf { items } => {
             for mc in items {
+                if !mc.is_finite() {
+                    return Err(format!("leaf {node_id} holds a non-finite micro-cluster"));
+                }
                 if mc.weight() < 0.0 {
                     return Err(format!("leaf {node_id} has a negative weight"));
                 }
             }
         }
         NodeKind::Inner { entries } => {
-            for entry in entries {
+            for (i, entry) in entries.iter().enumerate() {
+                if !(entry.summary.is_finite()
+                    && entry.buffer.as_ref().is_none_or(MicroCluster::is_finite))
+                {
+                    return Err(format!(
+                        "entry {i} of node {node_id} stores a non-finite summary"
+                    ));
+                }
                 if entry.weight() < 0.0 || entry.buffered_weight() < 0.0 {
                     return Err(format!("node {node_id} has a negative weight"));
                 }

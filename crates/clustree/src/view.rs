@@ -1,235 +1,57 @@
-//! Epoch-pinned snapshots of the clustering index and its sharded variant.
+//! Epoch-pinned snapshots of the clustering index, plain or sharded.
 //!
 //! Not to be confused with [`crate::snapshot`] (the pyramidal *time-frame*
-//! store of micro-cluster sets): the types here are **isolation** snapshots
-//! over the shared core's versioned arena — cheap, owned, `Send + Sync`
-//! views whose density / k-NN / outlier answers stay bit-identical to the
-//! moment they were taken, while later mini-batches keep mutating the live
-//! tree (writers copy-on-write any node a snapshot still pins).
+//! store of micro-cluster sets): [`ClusTreeSnapshot`] is an **isolation**
+//! snapshot over the shared core's versioned arena — a cheap, owned,
+//! `Send + Sync` view whose density / k-NN / outlier answers stay
+//! bit-identical to the moment it was taken, while later mini-batches keep
+//! mutating the live tree (writers copy-on-write any node a snapshot still
+//! pins).  It is the one snapshot type of both handles: a plain
+//! [`ClusTree`] snapshots as one pinned shard, a
+//! [`ShardedClusTree`](crate::ShardedClusTree) as one pinned shard per
+//! live shard, and every read folds the shards through [`ShardSet`].
 
 use crate::microcluster::MicroCluster;
 use crate::query::{anytime_knn_over, shard_query_model, ClusQueryModel, KnnAnswer};
-use crate::tree::{collect_micro_clusters, finish_micro_clusters, ClusTree, ClusTreeConfig};
+use crate::tree::{micro_clusters_over, ClusTree, ClusTreeConfig};
 use bt_anytree::{
-    OutlierScore, QueryAnswer, QueryStats, RefineOrder, ShardSet, ShardedQueryAnswer,
-    ShardedTreeSnapshot, TreeSnapshot, TreeView,
+    OutlierScore, QueryStats, RefineOrder, ShardSet, ShardedQueryAnswer, TreeSnapshot, TreeView,
 };
 
-/// An epoch-pinned, immutable view of a [`ClusTree`]: the core snapshot plus
-/// the model parameters (decay rate, current time) frozen at snapshot time.
+/// An epoch-pinned, immutable view of a clustering index: one pinned core
+/// snapshot per shard (exactly one for a plain [`ClusTree`]) plus the
+/// model parameters (decay rate, current time) frozen at snapshot time.
 #[derive(Debug, Clone)]
 pub struct ClusTreeSnapshot {
-    core: TreeSnapshot<MicroCluster, MicroCluster>,
-    config: ClusTreeConfig,
-    current_time: f64,
-    num_inserted: usize,
+    pub(crate) shards: Vec<TreeSnapshot<MicroCluster, MicroCluster>>,
+    pub(crate) config: ClusTreeConfig,
+    pub(crate) current_time: f64,
+    pub(crate) num_inserted: usize,
 }
 
 impl ClusTreeSnapshot {
-    pub(crate) fn from_parts(
-        core: TreeSnapshot<MicroCluster, MicroCluster>,
-        config: ClusTreeConfig,
-        current_time: f64,
-        num_inserted: usize,
-    ) -> Self {
-        Self {
-            core,
-            config,
-            current_time,
-            num_inserted,
-        }
+    /// Number of shards captured (1 for a plain tree).
+    #[must_use]
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The per-shard core snapshots.
+    #[must_use]
+    pub fn shards(&self) -> &[TreeSnapshot<MicroCluster, MicroCluster>] {
+        &self.shards
+    }
+
+    /// The per-shard published epochs this snapshot pins.
+    #[must_use]
+    pub fn epochs(&self) -> Vec<u64> {
+        self.shards.iter().map(TreeSnapshot::epoch).collect()
     }
 
     /// Dimensionality of the clustered points.
     #[must_use]
     pub fn dims(&self) -> usize {
-        self.core.dims()
-    }
-
-    /// Number of objects inserted at snapshot time.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.num_inserted
-    }
-
-    /// Whether the snapshot holds no objects.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.num_inserted == 0
-    }
-
-    /// Height of the tree at snapshot time.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.core.height()
-    }
-
-    /// The published epoch this snapshot pins.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// The latest timestamp seen at snapshot time.
-    #[must_use]
-    pub fn current_time(&self) -> f64 {
-        self.current_time
-    }
-
-    /// The underlying core snapshot.
-    #[must_use]
-    pub fn core(&self) -> &TreeSnapshot<MicroCluster, MicroCluster> {
-        &self.core
-    }
-
-    /// All micro-clusters as of snapshot time (leaf entries plus non-empty
-    /// hitchhiker buffers, decayed to the frozen current time).
-    #[must_use]
-    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
-        let mut out = Vec::new();
-        collect_micro_clusters(&self.core, &mut out);
-        finish_micro_clusters(&mut out, self.current_time, self.config.decay_lambda);
-        out
-    }
-
-    /// The micro-cluster query model frozen at snapshot time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth has the wrong dimensionality or a
-    /// non-positive component.
-    #[must_use]
-    pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        shard_query_model(
-            std::slice::from_ref(&self.core),
-            bandwidth,
-            self.config.decay_lambda,
-        )
-    }
-
-    /// Budget-bracketed anytime density score against the frozen tree (see
-    /// [`ClusTree::anytime_density`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_density(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> QueryAnswer {
-        self.core
-            .query_with_budget(&self.query_model(bandwidth), x, order, budget)
-    }
-
-    /// Batched density queries through one reused cursor (see
-    /// [`ClusTree::density_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query or the bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn density_batch(
-        &self,
-        queries: &[Vec<f64>],
-        bandwidth: &[f64],
-        order: RefineOrder,
-        budget: usize,
-    ) -> (Vec<QueryAnswer>, QueryStats) {
-        self.core
-            .query_batch(&self.query_model(bandwidth), queries, order, budget)
-    }
-
-    /// Anytime k-NN micro-cluster retrieval against the frozen tree (see
-    /// [`ClusTree::anytime_knn`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query has the wrong dimensionality.
-    #[must_use]
-    pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        anytime_knn_over(
-            std::slice::from_ref(&self.core),
-            self.config.decay_lambda,
-            x,
-            k,
-            budget,
-        )
-    }
-
-    /// Anytime outlier scoring against the frozen tree (see
-    /// [`ClusTree::outlier_score`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query or bandwidth has the wrong dimensionality.
-    #[must_use]
-    pub fn outlier_score(
-        &self,
-        x: &[f64],
-        bandwidth: &[f64],
-        threshold: f64,
-        budget: usize,
-    ) -> OutlierScore {
-        std::slice::from_ref(&self.core).outlier_score(
-            &self.query_model(bandwidth),
-            x,
-            threshold,
-            budget,
-        )
-    }
-}
-
-impl ClusTree {
-    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned,
-    /// the published epoch pinned, and the model parameters (decay rate,
-    /// current time, insert count) frozen alongside.  `Send + Sync`; keeps
-    /// answering queries bit-identically to this moment while later batches
-    /// mutate the tree.
-    #[must_use]
-    pub fn snapshot(&self) -> ClusTreeSnapshot {
-        ClusTreeSnapshot::from_parts(
-            self.core().snapshot(),
-            self.config().clone(),
-            self.current_time(),
-            self.len(),
-        )
-    }
-}
-
-/// An epoch-pinned, immutable view of a
-/// [`ShardedClusTree`](crate::ShardedClusTree): one pinned core snapshot per
-/// shard plus the frozen model parameters.
-#[derive(Debug, Clone)]
-pub struct ShardedClusTreeSnapshot {
-    core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-    config: ClusTreeConfig,
-    current_time: f64,
-    num_inserted: usize,
-}
-
-impl ShardedClusTreeSnapshot {
-    pub(crate) fn from_parts(
-        core: ShardedTreeSnapshot<MicroCluster, MicroCluster>,
-        config: ClusTreeConfig,
-        current_time: f64,
-        num_inserted: usize,
-    ) -> Self {
-        Self {
-            core,
-            config,
-            current_time,
-            num_inserted,
-        }
-    }
-
-    /// Number of shards captured.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.core.num_shards()
+        self.shards[0].dims()
     }
 
     /// Number of objects inserted at snapshot time (across all shards).
@@ -244,16 +66,24 @@ impl ShardedClusTreeSnapshot {
         self.num_inserted == 0
     }
 
-    /// The per-shard epochs this snapshot pins.
+    /// Height of the tallest shard at snapshot time.
     #[must_use]
-    pub fn epochs(&self) -> Vec<u64> {
-        self.core.epochs()
+    pub fn height(&self) -> usize {
+        self.shards.iter().map(TreeView::height).max().unwrap_or(1)
     }
 
     /// The latest timestamp seen at snapshot time.
     #[must_use]
     pub fn current_time(&self) -> f64 {
         self.current_time
+    }
+
+    /// All micro-clusters as of snapshot time, folded over the shards (leaf
+    /// entries plus non-empty hitchhiker buffers, decayed to the frozen
+    /// current time).
+    #[must_use]
+    pub fn micro_clusters(&self) -> Vec<MicroCluster> {
+        micro_clusters_over(&self.shards, self.current_time, self.config.decay_lambda)
     }
 
     /// The micro-cluster query model frozen at snapshot time, normalised by
@@ -265,11 +95,13 @@ impl ShardedClusTreeSnapshot {
     /// non-positive component.
     #[must_use]
     pub fn query_model(&self, bandwidth: &[f64]) -> ClusQueryModel {
-        shard_query_model(self.core.shards(), bandwidth, self.config.decay_lambda)
+        shard_query_model(&self.shards, bandwidth, self.config.decay_lambda)
     }
 
-    /// Folded anytime density score against the frozen shards (see
-    /// [`crate::ShardedClusTree::anytime_density`]).
+    /// Budget-bracketed anytime density score against the frozen shards —
+    /// exactly what the live tree's `anytime_density` returned at snapshot
+    /// time ([`ClusTree::anytime_density`] is this answer's
+    /// [`ShardedQueryAnswer::as_answer`]).
     ///
     /// # Panics
     ///
@@ -282,12 +114,12 @@ impl ShardedClusTreeSnapshot {
         order: RefineOrder,
         budget: usize,
     ) -> ShardedQueryAnswer {
-        self.core
-            .shards()
+        self.shards
             .query_with_budget(&self.query_model(bandwidth), x, order, budget)
     }
 
-    /// Batched folded density queries against the frozen shards.
+    /// Batched density queries against the frozen shards, one reused
+    /// cursor per shard (see [`ClusTree::density_batch`]).
     ///
     /// # Panics
     ///
@@ -300,23 +132,23 @@ impl ShardedClusTreeSnapshot {
         order: RefineOrder,
         budget: usize,
     ) -> (Vec<ShardedQueryAnswer>, QueryStats) {
-        self.core
-            .shards()
+        self.shards
             .query_batch(&self.query_model(bandwidth), queries, order, budget)
     }
 
-    /// Anytime k-NN retrieval folded across the frozen shards (see
-    /// [`crate::ShardedClusTree::anytime_knn`]).
+    /// Anytime k-NN micro-cluster retrieval folded across the frozen shards
+    /// (see [`ClusTree::anytime_knn`]).
     ///
     /// # Panics
     ///
     /// Panics if the query has the wrong dimensionality.
     #[must_use]
     pub fn anytime_knn(&self, x: &[f64], k: usize, budget: usize) -> KnnAnswer {
-        anytime_knn_over(self.core.shards(), self.config.decay_lambda, x, k, budget)
+        anytime_knn_over(&self.shards, self.config.decay_lambda, x, k, budget)
     }
 
-    /// Anytime outlier scoring against the frozen shards.
+    /// Anytime outlier scoring against the frozen shards (see
+    /// [`ClusTree::outlier_score`]); `budget` caps the total node reads.
     ///
     /// # Panics
     ///
@@ -329,9 +161,25 @@ impl ShardedClusTreeSnapshot {
         threshold: f64,
         budget: usize,
     ) -> OutlierScore {
-        self.core
-            .shards()
+        self.shards
             .outlier_score(&self.query_model(bandwidth), x, threshold, budget)
+    }
+}
+
+impl ClusTree {
+    /// Takes an epoch-pinned snapshot: the versioned arena spine is cloned,
+    /// the published epoch pinned, and the model parameters (decay rate,
+    /// current time, insert count) frozen alongside.  `Send + Sync`; keeps
+    /// answering queries bit-identically to this moment while later batches
+    /// mutate the tree.
+    #[must_use]
+    pub fn snapshot(&self) -> ClusTreeSnapshot {
+        ClusTreeSnapshot {
+            shards: vec![self.core().snapshot()],
+            config: self.config().clone(),
+            current_time: self.current_time(),
+            num_inserted: self.len(),
+        }
     }
 }
 
@@ -402,6 +250,5 @@ mod tests {
     fn snapshots_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ClusTreeSnapshot>();
-        assert_send_sync::<ShardedClusTreeSnapshot>();
     }
 }

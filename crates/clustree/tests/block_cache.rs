@@ -6,7 +6,9 @@
 //! consumed after a mutation restamps the node, and epoch-pinned snapshots
 //! stay frozen while the live cache churns.
 
-use bt_anytree::{Node, NodeId, QueryAnswer, RefineOrder, Summary, TreeView};
+use bt_anytree::{
+    Node, NodeId, QueryAnswer, RefineOrder, ShardSet, ShardedQueryAnswer, Summary, TreeView,
+};
 use clustree::{ClusTree, ClusTreeConfig, ShardedClusTree};
 
 /// Delegating view whose `block_cache` stays at the default `None` — the
@@ -63,6 +65,12 @@ fn bandwidth() -> Vec<f64> {
     vec![0.8; DIMS]
 }
 
+/// Drops the per-shard split of folded answers (`as_answer`), so one-shard
+/// reads compare against the live tree's single-tree answers.
+fn as_answers(answers: &[ShardedQueryAnswer]) -> Vec<QueryAnswer> {
+    answers.iter().map(ShardedQueryAnswer::as_answer).collect()
+}
+
 fn bits(answers: &[QueryAnswer]) -> Vec<(u64, u64, u64)> {
     answers
         .iter()
@@ -85,14 +93,18 @@ fn warm_cache_answers_match_the_gather_every_time_reference() {
     );
     assert_eq!(bits(&cold), bits(&warm), "hits change nothing");
 
-    let (reference, ref_stats) = NoCache(tree.core()).query_batch(
+    let (reference, ref_stats) = [NoCache(tree.core())].query_batch(
         &tree.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,
         BUDGET,
     );
     assert_eq!(ref_stats.gathers_avoided, 0, "no slots, no hits");
-    assert_eq!(bits(&reference), bits(&warm), "cache is invisible");
+    assert_eq!(
+        bits(&as_answers(&reference)),
+        bits(&warm),
+        "cache is invisible"
+    );
 }
 
 #[test]
@@ -105,14 +117,14 @@ fn mutation_restamps_the_slot_so_stale_blocks_are_never_reused() {
     tree.insert_batch(&stream(200, 1000), 50.0, NODE_BUDGET);
 
     let (after, _) = tree.density_batch(&queries, &bw, RefineOrder::BestFirst, BUDGET);
-    let (reference, _) = NoCache(tree.core()).query_batch(
+    let (reference, _) = [NoCache(tree.core())].query_batch(
         &tree.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,
         BUDGET,
     );
     assert_eq!(
-        bits(&reference),
+        bits(&as_answers(&reference)),
         bits(&after),
         "post-mutation answers must come from fresh gathers, not stale blocks"
     );
@@ -142,15 +154,23 @@ fn pinned_snapshot_scores_identically_while_the_live_cache_churns() {
         again_stats.gathers_avoided > 0,
         "snapshot reuses its warm blocks"
     );
-    assert_eq!(bits(&frozen), bits(&again), "snapshot answers are frozen");
+    assert_eq!(
+        bits(&as_answers(&frozen)),
+        bits(&as_answers(&again)),
+        "snapshot answers are frozen"
+    );
 
-    let (reference, _) = NoCache(snapshot.core()).query_batch(
+    let (reference, _) = [NoCache(&snapshot.shards()[0])].query_batch(
         &snapshot.query_model(&bw),
         &queries,
         RefineOrder::BestFirst,
         BUDGET,
     );
-    assert_eq!(bits(&reference), bits(&frozen), "and still exact");
+    assert_eq!(
+        bits(&as_answers(&reference)),
+        bits(&as_answers(&frozen)),
+        "and still exact"
+    );
 }
 
 #[test]

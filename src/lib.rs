@@ -89,10 +89,11 @@
 //!   cursor per shard as the concurrency unit, each shard's `finish_batch`
 //!   its single synchronisation point), and merges the per-shard reports
 //!   ([`anytree::DepthHistogram::merge`], [`anytree::DescentStats::merge`]).
-//!   The query path is sharded the same way and exists once: every
-//!   multi-view read goes through [`anytree::ShardSet`], implemented for a
-//!   slice of tree views, so live shards, snapshot shards and a plain tree
-//!   (the one-shard slice) share it.  Density queries refine per-shard
+//!   The query path is sharded the same way and exists once:
+//!   [`anytree::ShardSet`], implemented for a slice of tree views, is the
+//!   only query entry point, so live shards, snapshot shards and a plain
+//!   tree or snapshot (the one-shard slice) share it, and every density
+//!   and outlier read of both tree crates goes through it.  Density queries refine per-shard
 //!   frontiers concurrently ([`anytree::ShardSet::query_batch`], one
 //!   worker per shard over the whole batch) and fold into one global
 //!   mixture answer ([`anytree::ShardedQueryAnswer`]) whose bounds inherit
@@ -120,12 +121,17 @@
 //!   extra dependency is involved.  The whole query engine runs on the
 //!   [`anytree::TreeView`] abstraction, so live trees and snapshots answer
 //!   through the same code; frontier selection runs on a **per-order lazy
-//!   heap** property-tested against the reference scan.  On the sharded
-//!   layer, [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a
-//!   mini-batch through per-shard writer threads *while* reader threads
-//!   refine query batches against the pre-batch
-//!   [`anytree::ShardedTreeSnapshot`] — property-tested to return exactly
-//!   the pre-batch answers (`tests/snapshot_isolation.rs`).
+//!   heap** property-tested against the reference scan.  There is one
+//!   snapshot type per layer: the core's [`anytree::TreeSnapshot`] (a
+//!   sharded core snapshots to a `Vec` of them, one per shard), and one
+//!   per tree crate — [`bayestree::BayesTreeSnapshot`] and
+//!   [`clustree::ClusTreeSnapshot`], returned by the plain and the sharded
+//!   handle alike — so a snapshot reads through [`anytree::ShardSet`]
+//!   exactly like a live tree.  On the sharded layer,
+//!   [`anytree::ShardedAnytimeTree::pipelined_batch`] drains a mini-batch
+//!   through per-shard writer threads *while* reader threads refine query
+//!   batches against the pre-batch shard snapshots — property-tested to
+//!   return exactly the pre-batch answers (`tests/snapshot_isolation.rs`).
 //!
 //!   **The block-cache layer.**  The hot "score every entry of this node"
 //!   step gathers a node's summaries into dimension-major

@@ -13,12 +13,17 @@
 //!   counters legitimately differ: snapshot and live tree share warm
 //!   `Arc`-shared cache slots, so whoever queries second sees more hits),
 //! * disabling recording freezes every tree counter while answers stay
-//!   bit-identical — the observability layer cannot leak into results.
+//!   bit-identical — the observability layer cannot leak into results,
+//! * a batched sharded density read records one histogram observation per
+//!   folded answer, exactly like the same number of one-shot reads, while
+//!   `bt_queries_total` counts cursor begins (one per shard per query) on
+//!   both paths.
 //!
 //! All tests in this binary serialise on one lock: they read deltas of the
 //! single process-global registry, so two concurrently recording workloads
 //! would pollute each other's deltas.
 
+use anytime_stream_mining::anytree::ShardedQueryAnswer;
 use anytime_stream_mining::bayestree::{BayesTree, DescentStrategy, ShardedBayesTree};
 use anytime_stream_mining::eval::RegistryCapture;
 use anytime_stream_mining::index::PageGeometry;
@@ -189,7 +194,10 @@ proptest! {
         let (snap_answers, _) = snapshot.density_batch(&queries, DescentStrategy::default(), budget);
         let snap = snap_capture.delta();
 
-        prop_assert_eq!(live_answers, snap_answers);
+        prop_assert_eq!(
+            live_answers,
+            snap_answers.iter().map(ShardedQueryAnswer::as_answer).collect::<Vec<_>>()
+        );
         prop_assert_eq!(
             counter_values(&live, CACHE_INDEPENDENT_COUNTERS),
             counter_values(&snap, CACHE_INDEPENDENT_COUNTERS)
@@ -225,4 +233,67 @@ proptest! {
             prop_assert_eq!(value, 0, "{} moved while recording was disabled", name);
         }
     }
+}
+
+/// A 2-shard batch of `N` density queries observes each query histogram
+/// `N` times — once per folded answer, the same as `N` one-shot reads —
+/// not once per shard partial.
+#[test]
+fn sharded_density_batches_record_once_per_folded_answer() {
+    const SHARDS: usize = 2;
+    let _guard = registry_lock();
+    let points: Vec<Vec<f64>> = (0..240)
+        .map(|i| {
+            let c = if i % 2 == 0 { -3.0 } else { 3.0 };
+            vec![
+                c + (i % 7) as f64 * 0.2,
+                c - (i % 5) as f64 * 0.2,
+                (i % 3) as f64,
+            ]
+        })
+        .collect();
+    let mut sharded: ShardedBayesTree = ShardedBayesTree::new(3, geometry(), SHARDS);
+    for chunk in points.chunks(16) {
+        let _ = sharded.insert_batch(chunk.to_vec());
+    }
+    sharded.set_bandwidth(vec![0.8, 0.8, 0.8]);
+    assert!(
+        sharded.shard_sizes().iter().all(|&n| n > 0),
+        "both shards hold data"
+    );
+    let queries: Vec<Vec<f64>> = (0..5)
+        .map(|i| vec![i as f64 - 2.0, 2.0 - i as f64, 0.5])
+        .collect();
+    let n = queries.len() as u64;
+
+    let capture = RegistryCapture::begin();
+    let _ = sharded.density_batch(&queries, DescentStrategy::default(), 6);
+    let batched = capture.delta();
+    let capture = RegistryCapture::begin();
+    for q in &queries {
+        let _ = sharded.anytime_density(q, DescentStrategy::default(), 6);
+    }
+    let one_shot = capture.delta();
+
+    for hist in [
+        "bt_query_bound_width",
+        "bt_refine_budget_spent",
+        "bt_query_latency_ns",
+    ] {
+        assert_eq!(batched.histogram_totals(hist).0, n, "batched {hist}");
+        assert_eq!(one_shot.histogram_totals(hist).0, n, "one-shot {hist}");
+    }
+    for hist in ["bt_query_bound_width", "bt_refine_budget_spent"] {
+        let (batched_sum, one_shot_sum) = (
+            batched.histogram_totals(hist).1,
+            one_shot.histogram_totals(hist).1,
+        );
+        assert!(
+            (batched_sum - one_shot_sum).abs() <= 1e-9 * (1.0 + one_shot_sum.abs()),
+            "{hist} sums: batched {batched_sum} vs one-shot {one_shot_sum}"
+        );
+    }
+    // Cursor begins: every shard begins every query on both paths.
+    assert_eq!(batched.counter("bt_queries_total"), SHARDS as u64 * n);
+    assert_eq!(one_shot.counter("bt_queries_total"), SHARDS as u64 * n);
 }

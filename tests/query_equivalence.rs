@@ -200,13 +200,13 @@ proptest! {
         let model = snapshot.query_model();
         let query = vec![qx, -qx, qx * 0.5];
         for order in ALL_ORDERS {
-            let mut cursor = snapshot.core().new_query(&model, &query);
+            let mut cursor = snapshot.shards()[0].new_query(&model, &query);
             let mut steps = 0usize;
             loop {
                 let scan = scan_select(cursor.elements(), order);
                 let heap = cursor.peek_next(order);
                 prop_assert_eq!(heap, scan, "{:?} diverged at step {}", order, steps);
-                if !snapshot.core().refine_query(&model, order, &mut cursor) {
+                if !snapshot.shards()[0].refine_query(&model, order, &mut cursor) {
                     prop_assert!(scan.is_none());
                     break;
                 }
@@ -260,13 +260,13 @@ proptest! {
         let snapshot = tree.snapshot();
         let model = snapshot.query_model();
         let query = vec![qx, qx, qx];
-        let mut cursor = snapshot.core().new_query(&model, &query);
+        let mut cursor = snapshot.shards()[0].new_query(&model, &query);
         let mut order = ALL_ORDERS[switch % ALL_ORDERS.len()];
         let mut step = 0usize;
         loop {
             let scan = scan_select(cursor.elements(), order);
             prop_assert_eq!(cursor.peek_next(order), scan, "{:?} at step {}", order, step);
-            if !snapshot.core().refine_query(&model, order, &mut cursor) {
+            if !snapshot.shards()[0].refine_query(&model, order, &mut cursor) {
                 break;
             }
             step += 1;

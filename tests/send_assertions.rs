@@ -5,15 +5,13 @@
 
 use anytime_stream_mining::anytree::{
     AnytimeTree, CheapestRouter, DescentCursor, FixedPartitionRouter, QueryCursor,
-    ShardedAnytimeTree, ShardedTreeSnapshot, TreeSnapshot,
+    ShardedAnytimeTree, TreeSnapshot,
 };
 use anytime_stream_mining::bayestree::{
     AnytimeClassifier, BayesTree, BayesTreeSnapshot, ClassifierSnapshot, KernelSummary,
-    ShardedBayesTree, ShardedBayesTreeSnapshot,
+    ShardedBayesTree,
 };
-use anytime_stream_mining::clustree::{
-    ClusTree, ClusTreeSnapshot, MicroCluster, ShardedClusTree, ShardedClusTreeSnapshot,
-};
+use anytime_stream_mining::clustree::{ClusTree, ClusTreeSnapshot, MicroCluster, ShardedClusTree};
 use anytime_stream_mining::data::Dataset;
 
 fn assert_send<T: Send>() {}
@@ -70,11 +68,7 @@ fn snapshots_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TreeSnapshot<KernelSummary, Vec<f64>>>();
     assert_send_sync::<TreeSnapshot<MicroCluster, MicroCluster>>();
-    assert_send_sync::<ShardedTreeSnapshot<KernelSummary, Vec<f64>>>();
-    assert_send_sync::<ShardedTreeSnapshot<MicroCluster, MicroCluster>>();
     assert_send_sync::<BayesTreeSnapshot>();
-    assert_send_sync::<ShardedBayesTreeSnapshot>();
     assert_send_sync::<ClassifierSnapshot>();
     assert_send_sync::<ClusTreeSnapshot>();
-    assert_send_sync::<ShardedClusTreeSnapshot>();
 }

@@ -67,9 +67,9 @@ proptest! {
         // Bit-identical to the pre-batch tree, during and after the batch.
         for (q, got) in queries.iter().zip(&concurrent) {
             let expected = pre_batch.anytime_density(q, DescentStrategy::default(), budget);
-            prop_assert_eq!(got, &expected);
+            prop_assert_eq!(got.as_answer(), expected);
             prop_assert_eq!(
-                snapshot.anytime_density(q, DescentStrategy::default(), budget),
+                snapshot.anytime_density(q, DescentStrategy::default(), budget).as_answer(),
                 expected
             );
         }
@@ -108,7 +108,7 @@ proptest! {
 
         let expected =
             pre_batch.anytime_density(&query, &bandwidth, RefineOrder::WidestBound, budget);
-        prop_assert_eq!(concurrent_density.unwrap(), expected);
+        prop_assert_eq!(concurrent_density.unwrap().as_answer(), expected);
         let expected_knn = pre_batch.anytime_knn(&query, 3, budget);
         let got_knn = concurrent_knn.unwrap();
         prop_assert_eq!(got_knn.nodes_read, expected_knn.nodes_read);
@@ -196,7 +196,7 @@ fn no_reader_fast_path_never_copies_and_pins_release() {
 
     let snapshot = tree.snapshot();
     assert_eq!(tree.pinned_snapshots(), 1);
-    assert_eq!(snapshot.epoch(), tree.epoch());
+    assert_eq!(snapshot.epochs()[0], tree.epoch());
     tree.insert_batch(points[..40].to_vec());
     let copied = tree.retired_nodes();
     assert!(copied > 0, "pinned snapshot forces copy-on-write");
